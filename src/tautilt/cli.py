@@ -341,7 +341,7 @@ def cmd_verify(args, config: SessionConfig) -> int:
             if "L3.1" in wanted:
                 l31 = []
                 for node in main.invariant_nodes:
-                    rep = verify_syzygy_commutation(ictx, node.module())
+                    rep = verify_syzygy_commutation(ictx, node.module(), inert)
                     slim = rep.to_json()
                     for c in slim["clauses"]:
                         c["details"].pop("witness", None)

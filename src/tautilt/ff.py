@@ -2,8 +2,15 @@
 
 Field elements are stored as integer codes in ``range(q)`` with ``q = p**m``:
 the code of an element with polynomial coordinates ``(c_0, ..., c_{m-1})``
-is ``sum(c_i * p**i)``.  All arithmetic goes through precomputed lookup
+is ``sum(c_i * p**i)``.  Arithmetic goes through precomputed lookup
 tables, so matrix operations vectorize over numpy integer arrays.
+
+Row reduction over GF(2^m) of a matrix with at least ``_PACKED_MIN_CELLS``
+cells runs on bit planes instead: plane k packs bit k of every code into
+uint64 words, addition is XOR, and a scalar multiple is a GF(2)-linear map
+of the planes.  Smaller matrices and odd characteristic use the table
+elimination, which also serves as the test oracle.  The reduced echelon
+form is unique, so both paths return the same result.
 
 Everything here is immutable after construction; operations are pure
 functions and safe to share across workers.
@@ -18,6 +25,14 @@ import numpy as np
 
 _CODE_DTYPE = np.int16
 _TABLE_CAP = 4096  # largest q for which we build q*q tables
+# FFMatrix.rref eliminates on bit planes over GF(2^m) from this many cells
+# on.  Measured crossover against the table path (numpy 2.4, one core):
+# about 2-4k cells on random dense matrices over GF(2) and GF(4), 4-8k over
+# GF(8) and GF(16); 16-32k on the sparse Kronecker systems that
+# solve_intertwiner_system builds over GF(2) and GF(4), where the table path
+# touches only the few rows with an entry in the pivot column.
+_PACKED_MIN_CELLS = 16384
+_CONVERT_CELLS = 1 << 16  # bit-plane conversion works on row blocks this big
 
 
 class FFError(ValueError):
@@ -170,6 +185,19 @@ class FieldSpec:
             base = self.mul(base, base)
             e >>= 1
         return acc
+
+    def sum(self, codes: np.ndarray, axis: int) -> np.ndarray:
+        """Field sum of an array of codes along an axis, computed on the
+        base-p digits of the codes (the coordinates of the elements)."""
+        p = self.p
+        digits = codes.astype(np.int64)
+        out = 0
+        place = 1
+        for _ in range(self.m):
+            out = out + (digits % p).sum(axis=axis) % p * place
+            digits //= p
+            place *= p
+        return np.asarray(out, dtype=_CODE_DTYPE)
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(p^k); k may be reduced mod m since Frobenius has order m."""
@@ -430,34 +458,14 @@ class FFMatrix:
     def rref(self) -> tuple["FFMatrix", tuple[int, ...]]:
         """Reduced row echelon form with deterministic first-nonzero pivoting.
 
-        Returns (R, pivot_columns)."""
+        Returns (R, pivot_columns).  The reduced echelon form is unique, so
+        both elimination paths return the same R and pivots."""
         f = self.field
-        A = self.data.copy()
-        nrows, ncols = A.shape
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            nz = np.nonzero(A[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                A[[r, i]] = A[[i, r]]
-            pv = A[r, c]
-            if pv != 1:
-                A[r] = f.mul_table[f.inv_table[pv], A[r]]
-            rows_nz = np.nonzero(A[:, c])[0]
-            rows_nz = rows_nz[rows_nz != r]
-            if rows_nz.size:
-                factors = f.neg_table[A[rows_nz, c]]
-                A[rows_nz] = f.add_table[
-                    A[rows_nz], f.mul_table[factors[:, None], A[r][None, :]]
-                ]
-            pivots.append(c)
-            r += 1
-        return FFMatrix(f, A), tuple(pivots)
+        if f.p == 2 and self.data.size >= _PACKED_MIN_CELLS:
+            R, pivots = _rref_packed(f, self.data)
+        else:
+            R, pivots = _rref_table(f, self.data)
+        return FFMatrix(f, R), pivots
 
     def rank(self) -> int:
         _, pivots = self.rref()
@@ -497,7 +505,7 @@ class FFMatrix:
         n = self.rows
         aug = self.hstack(FFMatrix.identity(self.field, n))
         R, pivots = aug.rref()
-        if len(pivots) < n or pivots[n - 1] != n - 1:
+        if pivots[:n] != tuple(range(n)):
             raise FFError("matrix is singular")
         return FFMatrix(self.field, R.data[:, n:])
 
@@ -606,10 +614,14 @@ class FFMatrix:
     def charpoly_esym(self, i: int) -> int:
         """Degree-i elementary symmetric function of the eigenvalues,
         i.e. the trace of the i-th exterior power."""
-        cp = self.charpoly()
+        if self.rows != self.cols:
+            raise FFError("characteristic polynomial needs a square matrix")
         n = self.rows
         if i > n:
             return 0
+        if i == 1:
+            return self.trace()
+        cp = self.charpoly()
         c = cp[n - i]
         # det(xI - A) = sum_i (-1)^i e_i x^(n-i)
         return self.field.neg(c) if i % 2 else c
@@ -620,6 +632,134 @@ class FFMatrix:
         for i in range(min(self.rows, self.cols)):
             t = f.add(t, int(self.data[i, i]))
         return t
+
+
+def _rref_table(f: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination through the field tables, one pivot at a
+    time over whole rows.  Any characteristic."""
+    A = data.copy()
+    nrows, ncols = A.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        pv = A[r, c]
+        if pv != 1:
+            A[r] = f.mul_table[f.inv_table[pv], A[r]]
+        rows_nz = np.nonzero(A[:, c])[0]
+        rows_nz = rows_nz[rows_nz != r]
+        if rows_nz.size:
+            factors = f.neg_table[A[rows_nz, c]]
+            A[rows_nz] = f.add_table[
+                A[rows_nz], f.mul_table[factors[:, None], A[r][None, :]]
+            ]
+        pivots.append(c)
+        r += 1
+    return A, tuple(pivots)
+
+
+def _rref_packed(f: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination over GF(2^m) on bit planes.
+
+    Plane k holds bit k of every code, i.e. the coefficient of x^k, with
+    column c at bit c % 64 of word c // 64 of its row.  Addition is XOR of
+    planes.  Multiplying a row by a scalar s is the GF(2)-linear map whose
+    m x m bit matrix has column l = s * x^l; a row is updated by the
+    multiples x^j * (pivot row) picked out by the bits j of its factor."""
+    m = f.m
+    nrows, ncols = data.shape
+    planes = _pack_planes(data, m, -(-ncols // 64))
+    xpow = np.array([1 << j for j in range(m)], dtype=np.intp)
+    shifts = np.arange(m, dtype=np.uint64)
+    # scalar_bits[s, k, l]: bit k of s * x^l, the matrix of multiplication by s
+    scalar_bits = f.mul_table[:, xpow].astype(np.uint64)[:, None, :] >> shifts[:, None] & 1
+    division_bits = {}  # pivot value -> scalar_bits of x^j / pivot, j < m
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        w, bit = divmod(c, 64)
+        bit = np.uint64(bit)
+        if not bit:
+            # nonzero[row] has bit b set where the row has an entry in
+            # column 64 w + b; kept up to date for the rows that change.
+            nonzero = np.bitwise_or.reduce(planes[:, :, w], axis=1)
+        nz = (nonzero >> bit & 1).nonzero()[0]
+        first = nz.searchsorted(r)
+        if first == nz.size:
+            continue
+        i = int(nz[first])
+        col = planes[nz, :, w] >> bit & 1  # (len(nz), m) bits of column c
+        pv = sum(int(b) << k for k, b in enumerate(col[first]))
+        if i != r:
+            pivot_row = planes[i].copy()
+            planes[i] = planes[r]
+            planes[r] = pivot_row
+            nonzero[r], nonzero[i] = nonzero[i], nonzero[r]
+        # Columns left of c are zero in the pivot row, so words below w stay.
+        # multiples[j] = (x^j / pv) * (pivot row); multiples[0] is the new row.
+        bitmat = division_bits.get(pv)
+        if bitmat is None:
+            bitmat = division_bits[pv] = scalar_bits[f.mul_table[f.inv_table[pv], xpow]]
+        multiples = np.bitwise_xor.reduce(bitmat[..., None] * planes[r, None, None, :, w:], axis=2)
+        planes[r, :, w:] = multiples[0]
+        # Every other row with an entry in column c.  Rows r and i are not
+        # among them, so the swap leaves their indices and bits valid.
+        others = nz != i
+        rows = nz[others]
+        if rows.size:
+            masks = np.negative(col[others])  # all-ones words where the bit is set
+            block = planes[rows, :, w:]
+            for j in range(m):
+                block ^= masks[:, j, None, None] & multiples[j]
+            planes[rows, :, w:] = block
+            nonzero[rows] = np.bitwise_or.reduce(block[:, :, 0], axis=1)
+        pivots.append(c)
+        r += 1
+    return _unpack_planes(planes, ncols), tuple(pivots)
+
+
+def _row_blocks(nrows: int, ncols: int):
+    """Slices of about _CONVERT_CELLS cells each, covering the rows."""
+    step = max(1, _CONVERT_CELLS // max(ncols, 1))
+    return [slice(start, start + step) for start in range(0, nrows, step)]
+
+
+def _pack_planes(data: np.ndarray, m: int, nwords: int) -> np.ndarray:
+    """The m bit planes of a code array, shape (rows, m, nwords), as
+    little-endian uint64 words.  Converts a block of rows at a time, so its
+    temporaries stay small next to the input."""
+    nrows, ncols = data.shape
+    out = np.zeros((nrows, m, nwords * 8), dtype=np.uint8)
+    for rows in _row_blocks(nrows, ncols):
+        codes = data[rows].copy()
+        for k in range(m):
+            out[rows, k, : -(-ncols // 8)] = np.packbits(codes & 1, axis=1, bitorder="little")
+            codes >>= 1
+    return out.view("<u8")
+
+
+def _unpack_planes(planes: np.ndarray, ncols: int) -> np.ndarray:
+    """Inverse of ``_pack_planes``: the code array of the first ncols
+    columns, assembled in place block by block."""
+    nrows, m, _ = planes.shape
+    raw = planes.view(np.uint8)
+    out = np.empty((nrows, ncols), dtype=_CODE_DTYPE)
+    for rows in _row_blocks(nrows, ncols):
+        block = out[rows]
+        block[...] = np.unpackbits(raw[rows, m - 1], axis=1, count=ncols, bitorder="little")
+        for k in reversed(range(m - 1)):
+            block <<= 1
+            block |= np.unpackbits(raw[rows, k], axis=1, count=ncols, bitorder="little")
+    return out
 
 
 def rank_and_nullspace(A: FFMatrix) -> tuple[int, FFMatrix]:

@@ -235,13 +235,16 @@ def _iso_clause(name: str, A: RepModule, B: RepModule) -> ClauseResult:
     return ClauseResult(name, ok, details)
 
 
-def _twist_clause(ctx, name: str, M: RepModule) -> ClauseResult:
-    """All nontrivial coset twists fix M, with one witness per
-    representative."""
+def _twist_clause(
+    ctx, name: str, M: RepModule, inertial: InertialGroup | None
+) -> ClauseResult:
+    """All nontrivial twists over the (inertial) coset representatives fix
+    M, with one witness per representative."""
     emb = ctx.emb
+    reps = inertial.stable_coset_reps if inertial is not None else emb.coset_reps
     witnesses = {}
     ok = True
-    for r in emb.coset_reps:
+    for r in reps:
         if r == emb.amb.identity:
             continue
         good, w = is_isomorphic(twist(ctx, r, M), M)
@@ -251,15 +254,22 @@ def _twist_clause(ctx, name: str, M: RepModule) -> ClauseResult:
     return ClauseResult(name, ok, {"dim": M.dim, "witnesses": witnesses})
 
 
-def verify_syzygy_commutation(ctx: InductionContext, M: RepModule) -> TheoremReport:
+def verify_syzygy_commutation(
+    ctx: InductionContext, M: RepModule, inertial: InertialGroup | None = None
+) -> TheoremReport:
     """Check L3.1 for an invariant module: twists fix the projective cover
     and the syzygy, and induction commutes with the syzygy and the
-    translate.  Every clause stores its isomorphism witnesses."""
+    translate.  Every clause stores its isomorphism witnesses.
+
+    With ``inertial``, the module is taken to be invariant under the
+    inertial group of its block, and the twists range over that group's
+    coset representatives, as in ``is_invariant``; otherwise over all of
+    the overgroup's."""
     clauses = []
     P, _ = homalg.projective_cover(M)
     om = homalg.syzygy_module(M)
-    clauses.append(_twist_clause(ctx, "cover_twist_invariant", P))
-    clauses.append(_twist_clause(ctx, "syzygy_twist_invariant", om))
+    clauses.append(_twist_clause(ctx, "cover_twist_invariant", P, inertial))
+    clauses.append(_twist_clause(ctx, "syzygy_twist_invariant", om, inertial))
     ind_om = induce(ctx, om)
     om_ind = homalg.syzygy_module(induce(ctx, M))
     clauses.append(_iso_clause("induction_commutes_with_syzygy", ind_om, om_ind))

@@ -293,19 +293,21 @@ def end_basis(M: RepModule) -> list[FFMatrix]:
 
 
 def _indec_iso_witness(M: RepModule, N: RepModule):
-    """Witness isomorphism between two indecomposables, or None.  Complete
-    because End of an indecomposable is local: if all pairwise composites of
-    hom bases are non-invertible they span the radical, so no iso exists."""
+    """Witness isomorphism between two indecomposables, or None: the first
+    invertible element of the basis of Hom(M, N).
+
+    Complete because End(M) of an indecomposable is local.  If phi: M -> N
+    is an isomorphism, Hom(M, N) = phi End(M) and its non-isomorphisms
+    phi rad End(M) form a proper subspace, which cannot contain a whole
+    basis.  It is also the element a search over composites would pick:
+    g f is invertible for some g: N -> M exactly when f is."""
     if M.dim != N.dim:
         return None
     if M.dim == 0:
         return FFMatrix.zeros(M.field, 0, 0)
-    fwd = hom_basis(M, N)
-    bwd = hom_basis(N, M)
-    for f in fwd:
-        for g in bwd:
-            if (g @ f).is_invertible():
-                return f
+    for f in hom_basis(M, N):
+        if f.is_invertible():
+            return f
     return None
 
 

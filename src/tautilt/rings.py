@@ -70,6 +70,14 @@ def in_span(field: FieldSpec, basis: list[FFMatrix], target: FFMatrix):
     return S.solve(v)
 
 
+def _trace_form(field: FieldSpec, J: list[FFMatrix]) -> FFMatrix:
+    """The matrix with entry (b, u) = e_1(u b) = tr(u b) = sum_ij u_ij b_ji,
+    for u and b running over J, without forming the products u b."""
+    U = np.array([u.data.ravel() for u in J])
+    rows = [field.sum(field.mul_table[U, b.data.T.ravel()], axis=1) for b in J]
+    return FFMatrix(field, np.array(rows, dtype=_CODE_DTYPE))
+
+
 def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
     """Jacobson radical of the matrix algebra spanned by ``basis``.
 
@@ -85,11 +93,11 @@ def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
     pk = 1
     while pk <= n and J:
         # e_{pk}(x b) = 0 for x = sum t_i u_i, all b in J; unknowns s_i = t_i^{pk}
-        rows = []
-        for b in J:
-            row = [(u @ b).charpoly_esym(pk) for u in J]
-            rows.append(row)
-        C = FFMatrix(field, np.array(rows, dtype=_CODE_DTYPE))
+        if pk == 1:
+            C = _trace_form(field, J)
+        else:
+            rows = [[(u @ b).charpoly_esym(pk) for u in J] for b in J]
+            C = FFMatrix(field, np.array(rows, dtype=_CODE_DTYPE))
         sol = C.nullspace()  # columns: s-coordinate solutions
         newJ = []
         for j in range(sol.cols):

@@ -189,6 +189,23 @@ def test_verify_c3_in_s3_p3(group_files, capsys):
     assert counts["invariant_nodes_found"]["count"] == 2
 
 
+def test_verify_c3_in_s3_p2_twists_by_inertial_group(group_files, capsys):
+    # over GF(4), kC3 has three blocks; S3 swaps the two non-principal ones,
+    # so their inertial group is C3 itself and L3.1 has no twist to check
+    code, out, _ = run(
+        capsys,
+        ["verify", group_files["C3"], group_files["S3"], "--p", "2", "--no-cache"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"]
+    assert [b["inertial_order"] for b in data["blocks"]] == [6, 3, 3]
+    for block in data["blocks"]:
+        assert block["L3.1"]["passed"]
+        for report in block["L3.1"]["reports"]:
+            assert all(c["passed"] for c in report["clauses"])
+
+
 def test_verify_same_group(group_files, capsys):
     code, out, _ = run(
         capsys,
