@@ -14,10 +14,8 @@ from math import lcm
 import numpy as np
 
 from . import rings
-from .ff import FFMatrix, FieldSpec, field_create
+from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, field_create
 from .groups import FiniteGroup, SubgroupEmbedding
-
-_CODE_DTYPE = np.int16
 
 
 class AlgebraError(ValueError):
@@ -58,7 +56,18 @@ class GroupAlgebra:
         self._blocks = None
         self._left_mult = {}
         self._radical = None
-        self.registry = None  # set lazily by modules.ModuleRegistry
+        self._registry = None  # set by the ModuleRegistry of this algebra
+
+    @property
+    def registry(self):
+        """The ModuleRegistry of this algebra, which owns every memoised
+        fact about its modules.  Built with the default seed on first use,
+        unless ``ModuleRegistry(algebra, seed=...)`` was called before."""
+        if self._registry is None:
+            from .modules import ModuleRegistry
+
+            ModuleRegistry(self)
+        return self._registry
 
     def zero(self) -> list[int]:
         return [0] * self.dim
@@ -160,7 +169,6 @@ class Block:
         for c in self.idempotent:
             s = F.add(s, c)
         self.is_principal = s != 0  # nonzero action on the trivial module
-        self._simple_ids = None
 
     @property
     def field(self) -> FieldSpec:
@@ -169,25 +177,6 @@ class Block:
     @property
     def group(self) -> FiniteGroup:
         return self.parent.group
-
-    def contains_vector(self, vec) -> bool:
-        prod = self.parent.mul_vec(self.idempotent, vec)
-        return prod == list(vec)
-
-    @property
-    def simple_count(self) -> int:
-        """Number of simple modules lying in the block (needs the module
-        registry, so it is computed on first access)."""
-        if self._simple_ids is None:
-            from .modules import ModuleRegistry, lies_in_block
-
-            registry = self.parent.registry or ModuleRegistry(self.parent)
-            self._simple_ids = [
-                s
-                for s in registry.simple_ids()
-                if lies_in_block(registry.module(s), self)
-            ]
-        return len(self._simple_ids)
 
     def label(self) -> str:
         return f"B{self.index}" + ("*" if self.is_principal else "")
@@ -240,10 +229,6 @@ def covers(btilde: Block, b: Block, emb: SubgroupEmbedding) -> bool:
             lifted[emb.element_map[i]] = c
     prod = amb_alg.mul_vec(lifted, btilde.idempotent)
     return any(prod)
-
-
-def covering_blocks(b: Block, emb: SubgroupEmbedding, amb_algebra: GroupAlgebra) -> list[Block]:
-    return [bt for bt in amb_algebra.blocks() if covers(bt, b, emb)]
 
 
 class InertialGroup:

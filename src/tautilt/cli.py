@@ -4,11 +4,13 @@ posets, verification pipelines, induction and Mackey checks.
 Subcommands: blocks | stt | verify | induce | mackey.  All output is
 deterministic byte-for-byte for a fixed configuration; expensive results
 are cached on disk keyed by a content hash over (command, configuration,
-group data) plus the tool version.  TAUTILT_CACHE overrides the cache
-directory; --no-cache disables caching.
+group data); an entry is served only to the tool version and package
+sources that wrote it.  TAUTILT_CACHE overrides the cache directory;
+--no-cache disables caching.
 
 Exit codes: 0 success, 2 parse error, 3 cap exceeded, 4 embedding not
-normal, 5 verification failure.
+normal, 5 verification failure, 6 field does not split, 7 decomposition
+search exhausted, 8 internal inconsistency of the engine.
 """
 
 from __future__ import annotations
@@ -25,20 +27,25 @@ from pathlib import Path
 from . import __version__
 from .algebra import GroupAlgebra, splitting_field_degree
 from .engine import (
+    EngineError,
     PosetCapExceeded,
     TiltingContext,
     enumerate_poset,
     poset_json_bytes,
 )
-from .ff import FFError, field_create
+from .ff import FFError, FieldSpec, field_create
 from .groups import FiniteGroup, GroupError, SubgroupEmbedding, group_from_json
-from .modules import ModuleRegistry, module_from_json, module_to_json
+from .modules import module_from_json, module_to_json
+from .rings import DecompositionError, FieldNotSplittingError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_NOT_NORMAL = 4
 EXIT_VERIFY = 5
+EXIT_FIELD = 6
+EXIT_DECOMPOSITION = 7
+EXIT_ENGINE = 8
 
 THEOREM_IDS = ("all", "L3.1", "T3.2", "T3.3", "C3.4", "P3.5", "T3.6")
 
@@ -80,12 +87,22 @@ def default_cache_dir() -> str | None:
     return str(Path.home() / ".cache" / "tautilt")
 
 
+def source_digest() -> str:
+    """SHA-256 over the package's Python sources, by file name and content."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 class Cache:
     """Content-addressed cache; hits must be byte-identical to fresh runs,
-    so entries are invalidated by the tool version."""
+    so entries are invalidated by the tool version and by any change to
+    the package sources."""
 
     def __init__(self, directory: str | None):
         self.directory = Path(directory) if directory else None
+        self.source = source_digest() if directory else None
 
     @staticmethod
     def key(payload: dict) -> str:
@@ -102,7 +119,7 @@ class Cache:
             entry = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if entry.get("version") != __version__:
+        if entry.get("version") != __version__ or entry.get("source") != self.source:
             return None
         return entry.get("outputs")
 
@@ -110,7 +127,12 @@ class Cache:
         if self.directory is None:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        entry = {"version": __version__, "key": key, "outputs": outputs}
+        entry = {
+            "version": __version__,
+            "source": self.source,
+            "key": key,
+            "outputs": outputs,
+        }
         blob = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
@@ -145,12 +167,26 @@ def _load_group(path: str, config: SessionConfig) -> tuple[FiniteGroup, dict]:
     return group, data
 
 
-def _session_algebra(group: FiniteGroup, config: SessionConfig, groups=None) -> GroupAlgebra:
-    degree = config.resolve_degree(groups or [group])
-    field = field_create(config.p, degree)
+def _session_algebra(
+    group: FiniteGroup, config: SessionConfig, field: FieldSpec | None = None
+) -> GroupAlgebra:
+    """The group algebra over the session field (by default the one the
+    configuration resolves for this group), its registry seeded before it
+    splits anything."""
+    if field is None:
+        field = field_create(config.p, config.resolve_degree([group]))
     algebra = GroupAlgebra(group, field)
-    ModuleRegistry(algebra, seed=config.seed)
+    algebra.registry.seed = config.seed
     return algebra
+
+
+def _embedding_algebras(
+    sub: FiniteGroup, amb: FiniteGroup, config: SessionConfig
+) -> tuple[GroupAlgebra, GroupAlgebra]:
+    """Algebras of the subgroup and the overgroup over the one field the
+    overgroup resolves."""
+    amb_alg = _session_algebra(amb, config)
+    return _session_algebra(sub, config, amb_alg.field), amb_alg
 
 
 def _atomic_write(path: str, data: bytes):
@@ -288,12 +324,7 @@ def cmd_verify(args, config: SessionConfig) -> int:
     )
     outputs = cache.load(key)
     if outputs is None:
-        degree = config.resolve_degree([amb])
-        field = field_create(config.p, degree)
-        sub_alg = GroupAlgebra(sub, field)
-        amb_alg = GroupAlgebra(amb, field)
-        ModuleRegistry(sub_alg, seed=config.seed)
-        ModuleRegistry(amb_alg, seed=config.seed)
+        sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
         ictx = InductionContext(emb, sub_alg, amb_alg)
         amb_ctx = TiltingContext(amb_alg)
         try:
@@ -356,7 +387,7 @@ def cmd_verify(args, config: SessionConfig) -> int:
         payload = {
             "sub": sub.name,
             "amb": amb.name,
-            "field": _field_json(field),
+            "field": _field_json(amb_alg.field),
             "normal": True,
             "index": emb.n_cosets,
             "coset_reps": [list(amb.elements[r]) for r in emb.coset_reps],
@@ -381,12 +412,7 @@ def cmd_induce(args, config: SessionConfig) -> int:
     amb, _ = _load_group(args.amb, config)
     emb = _embedding_or_die(sub, amb, need_normal=False)
     module_data = _read_json_file(args.module)
-    degree = config.resolve_degree([amb])
-    field = field_create(config.p, degree)
-    sub_alg = GroupAlgebra(sub, field)
-    amb_alg = GroupAlgebra(amb, field)
-    ModuleRegistry(sub_alg, seed=config.seed)
-    ModuleRegistry(amb_alg, seed=config.seed)
+    sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
     try:
         M = module_from_json(module_data, algebra=sub_alg)
     except Exception as e:
@@ -409,12 +435,7 @@ def cmd_mackey(args, config: SessionConfig) -> int:
     amb, _ = _load_group(args.amb, config)
     emb = _embedding_or_die(sub, amb, need_normal=True)
     module_data = _read_json_file(args.module)
-    degree = config.resolve_degree([amb])
-    field = field_create(config.p, degree)
-    sub_alg = GroupAlgebra(sub, field)
-    amb_alg = GroupAlgebra(amb, field)
-    ModuleRegistry(sub_alg, seed=config.seed)
-    ModuleRegistry(amb_alg, seed=config.seed)
+    sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
     try:
         M = module_from_json(module_data, algebra=sub_alg)
     except Exception as e:
@@ -525,6 +546,16 @@ def main(argv=None) -> int:
     except FFError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except FieldNotSplittingError as e:
+        print(f"error: the field does not split the algebra ({e}); try a larger --m",
+              file=sys.stderr)
+        return EXIT_FIELD
+    except DecompositionError as e:
+        print(f"error: decomposition failed: {e}", file=sys.stderr)
+        return EXIT_DECOMPOSITION
+    except EngineError as e:
+        print(f"error: internal inconsistency: {e}", file=sys.stderr)
+        return EXIT_ENGINE
 
 
 if __name__ == "__main__":

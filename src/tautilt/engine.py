@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dc_field
 from . import homalg
 from .algebra import Block, GroupAlgebra
 from .modules import (
-    ModuleRegistry,
     RepModule,
     block_regular_module,
     lies_in_block,
@@ -49,70 +48,63 @@ class PosetCapExceeded(EngineError):
 
 
 class TiltingContext:
-    """A group algebra or one of its blocks, with the caches the engine
-    needs (simples, projectives, hom data, certificates)."""
+    """A group algebra or one of its blocks, viewed through the algebra's
+    registry: the facts the engine memoises (simples, projectives, hom
+    data, certificates, mutations) live there, keyed by ``key``, the block
+    index (None for the whole algebra).  Building a context is cheap."""
 
     def __init__(self, algebra: GroupAlgebra, block: Block | None = None):
         self.algebra = algebra
         self.block = block
-        self.registry = algebra.registry or ModuleRegistry(algebra)
-        self._lambda = None
-        self._simple_ids = None
-        self._pim_ids = None
-        self._tau_ids: dict[int, list[int]] = {}
-        self._hom_tau: dict[tuple[int, int], int] = {}
-        self._certificates: dict = {}
-        self._gen_cache: dict = {}
-        self._mutation_cache: dict = {}
-        self._delta_indec: dict[int, tuple[str, int]] = {}
+        self.registry = algebra.registry
+        self.key = None if block is None else block.index
 
     # ---- bookkeeping
 
-    def simple_ids(self) -> list[int]:
-        if self._simple_ids is None:
-            ids = self.registry.simple_ids()
+    def _classes(self) -> tuple[list[int], list[int]]:
+        """(simple ids, PIM ids) of the context, in the registry's order."""
+
+        def compute():
+            reg = self.registry
+            ids = reg.simple_ids()
             if self.block is not None:
-                ids = [
-                    s
-                    for s in ids
-                    if lies_in_block(self.registry.module(s), self.block)
-                ]
-            self._simple_ids = ids
-        return self._simple_ids
+                ids = [s for s in ids if lies_in_block(reg.module(s), self.block)]
+            return ids, [reg.pim_of_simple(s) for s in ids]
+
+        return self.registry.memo("block_classes", self.key, compute)
+
+    def simple_ids(self) -> list[int]:
+        return self._classes()[0]
 
     def pim_ids(self) -> list[int]:
-        if self._pim_ids is None:
-            self._pim_ids = [
-                self.registry.pim_of_simple(s) for s in self.simple_ids()
-            ]
-        return self._pim_ids
+        return self._classes()[1]
 
     @property
     def n_simples(self) -> int:
         return len(self.simple_ids())
 
     def lambda_module(self) -> RepModule:
-        if self._lambda is None:
+        def compute():
             if self.block is None:
-                self._lambda = regular_module(self.algebra)
-            else:
-                self._lambda = block_regular_module(self.block)
-        return self._lambda
+                return regular_module(self.algebra)
+            return block_regular_module(self.block)
+
+        return self.registry.memo("block_lambda", self.key, compute)
 
     def tau_ids(self, idx: int) -> list[int]:
-        if idx not in self._tau_ids:
+        def compute():
             t = homalg.tau_indec_cached(self.registry, idx)
-            self._tau_ids[idx] = self.registry.ids_of(t) if t.dim else []
-        return self._tau_ids[idx]
+            return self.registry.ids_of(t) if t.dim else []
+
+        return self.registry.memo("tau_ids", idx, compute)
 
     def hom_to_tau_dim(self, a: int, b: int) -> int:
         """dim Hom(M_a, tau M_b)."""
-        key = (a, b)
-        if key not in self._hom_tau:
-            self._hom_tau[key] = sum(
-                self.registry.hom_dim_ids(a, t) for t in self.tau_ids(b)
-            )
-        return self._hom_tau[key]
+        return self.registry.memo(
+            "hom_tau",
+            (a, b),
+            lambda: sum(self.registry.hom_dim_ids(a, t) for t in self.tau_ids(b)),
+        )
 
     def module_of_ids(self, ids) -> RepModule:
         return self.registry.direct_sum_of_ids(list(ids))
@@ -236,9 +228,13 @@ def _support_pims(ctx: TiltingContext, m_ids) -> tuple[int, ...]:
 
 def certify_support_tau_tilting(pair: STauTiltPair) -> Certificate:
     ctx = pair.ctx
-    cached = ctx._certificates.get(pair.key)
-    if cached is not None:
-        return cached
+    return ctx.registry.memo(
+        "certificate", (ctx.key, pair.key), lambda: _certify(pair)
+    )
+
+
+def _certify(pair: STauTiltPair) -> Certificate:
+    ctx = pair.ctx
     reg = ctx.registry
     m_ids = list(pair.m_ids)
     tau_rigid = _ids_tau_rigid(ctx, m_ids)
@@ -262,7 +258,7 @@ def certify_support_tau_tilting(pair: STauTiltPair) -> Certificate:
                 f"counting={counting_ok} vs approximation={approx_ok} "
                 f"for {pair!r} (coker classes {coker_ids}, support {support})"
             )
-    cert = Certificate(
+    return Certificate(
         tau_rigid=tau_rigid,
         hom_pm_zero=hom_pm_zero,
         support_pims=support,
@@ -273,8 +269,6 @@ def certify_support_tau_tilting(pair: STauTiltPair) -> Certificate:
         p_is_full_support=set(pair.p_ids) == set(support),
         n_simples=n,
     )
-    ctx._certificates[pair.key] = cert
-    return cert
 
 
 # -- the order ---------------------------------------------------------------
@@ -283,30 +277,27 @@ def certify_support_tau_tilting(pair: STauTiltPair) -> Certificate:
 def _generates(ctx: TiltingContext, source_ids: tuple[int, ...], target_id: int) -> bool:
     """Whether the target class lies in Gen(sum of source classes): the
     trace of the sources fills the target."""
-    key = (source_ids, target_id)
-    cached = ctx._gen_cache.get(key)
-    if cached is not None:
-        return cached
     reg = ctx.registry
-    target = reg.module(target_id)
-    images = []
-    for s in source_ids:
-        images.extend(reg.hom_basis_ids(s, target_id))
-    if images:
+
+    def compute():
+        target = reg.module(target_id)
+        images = []
+        for s in source_ids:
+            images.extend(reg.hom_basis_ids(s, target_id))
+        if not images:
+            return target.dim == 0
         stacked = images[0]
         for h in images[1:]:
             stacked = stacked.hstack(h)
-        ok = stacked.rank() == target.dim
-    else:
-        ok = target.dim == 0
-    ctx._gen_cache[key] = ok
-    return ok
+        return stacked.rank() == target.dim
+
+    return reg.memo("generates", (source_ids, target_id), compute)
 
 
 def geq(x: STauTiltPair, y: STauTiltPair) -> bool:
     """x >= y in the support tau-tilting order: every summand of y.M is a
     quotient of a finite direct sum of copies of x.M."""
-    if x.ctx is not y.ctx:
+    if (x.ctx.registry, x.ctx.key) != (y.ctx.registry, y.ctx.key):
         raise EngineError("pairs live over different contexts")
     return all(_generates(x.ctx, x.m_ids, t) for t in y.m_ids)
 
@@ -368,22 +359,19 @@ def _delta_indec(ctx: TiltingContext, idx: int, part: str) -> tuple[str, int]:
     summands go to their transpose-dual; projective module summands move to
     the support side as duals; support summands come back as dual
     projectives."""
-    key = (idx, part)
-    cached = ctx._delta_indec.get(key)
-    if cached is not None:
-        return cached
     reg = ctx.registry
-    if part == "m" and not reg.is_projective_id(idx):
-        td = homalg.transpose_dual_indec(reg, idx)
-        out = ("m", reg.find_or_register(td))
-    else:
+
+    def compute():
+        if part == "m" and not reg.is_projective_id(idx):
+            td = homalg.transpose_dual_indec(reg, idx)
+            return ("m", reg.find_or_register(td))
         dual = homalg.dual_module(reg.module(idx))
         did = reg.find_or_register(dual)
         if not reg.is_projective_id(did):
             raise EngineError("dual of a projective failed to be projective")
-        out = (("p", did) if part == "m" else ("m", did))
-    ctx._delta_indec[key] = out
-    return out
+        return ("p", did) if part == "m" else ("m", did)
+
+    return reg.memo("delta", (idx, part), compute)
 
 
 def delta_pair(pair: STauTiltPair) -> STauTiltPair:
@@ -401,11 +389,14 @@ def delta_pair(pair: STauTiltPair) -> STauTiltPair:
 
 
 def _down_mutation_cached(pair: STauTiltPair, removed: int) -> STauTiltPair | None:
-    key = (pair.key, removed)
     ctx = pair.ctx
-    if key not in ctx._mutation_cache:
-        ctx._mutation_cache[key] = _down_mutation(pair, removed)
-    return ctx._mutation_cache[key]
+
+    def compute():
+        down = _down_mutation(pair, removed)
+        return None if down is None else down.key
+
+    key = ctx.registry.memo("mutation", (ctx.key, pair.key, removed), compute)
+    return None if key is None else STauTiltPair(ctx, *key)
 
 
 def mutate(pair: STauTiltPair, summand_index: int, direction: str = "auto") -> MutationResult:
@@ -479,7 +470,6 @@ class HassePoset:
         self.nodes = sorted(pairs, key=sort_key)
         index = {p.key: i for i, p in enumerate(self.nodes)}
         self.edges = sorted((index[a], index[b]) for a, b in edges)
-        self._index = index
         self.top_index = index[
             (tuple(sorted(ctx.pim_ids())), ())
         ]
@@ -492,9 +482,6 @@ class HassePoset:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def node_index(self, pair: STauTiltPair) -> int:
-        return self._index[pair.key]
 
     def successors(self, i: int) -> list[int]:
         return [b for a, b in self.edges if a == i]

@@ -440,9 +440,6 @@ class FFMatrix:
     def vstack(self, other: "FFMatrix") -> "FFMatrix":
         return FFMatrix(self.field, np.vstack([self.data, other.data]))
 
-    def submatrix(self, row_idx, col_idx) -> "FFMatrix":
-        return FFMatrix(self.field, self.data[np.ix_(list(row_idx), list(col_idx))])
-
     def take_columns(self, col_idx) -> "FFMatrix":
         return FFMatrix(self.field, self.data[:, list(col_idx)])
 

@@ -13,7 +13,6 @@ two-way equivalence).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .engine import (
     geq,
     pair_from_modules,
 )
-from .ff import FFMatrix
+from .ff import _CODE_DTYPE, FFMatrix
 from .groups import SubgroupEmbedding
 from .modules import (
     RepModule,
@@ -38,8 +37,6 @@ from .modules import (
     lies_in_block,
     zero_module,
 )
-
-_CODE_DTYPE = np.int16
 
 
 class FunctorError(ValueError):
@@ -266,14 +263,14 @@ def verify_syzygy_commutation(
     coset representatives, as in ``is_invariant``; otherwise over all of
     the overgroup's."""
     clauses = []
-    P, _ = homalg.projective_cover(M)
-    om = homalg.syzygy_module(M)
+    om, _, P, _ = homalg.syzygy(M)
     clauses.append(_twist_clause(ctx, "cover_twist_invariant", P, inertial))
     clauses.append(_twist_clause(ctx, "syzygy_twist_invariant", om, inertial))
+    ind_M = induce(ctx, M)
     ind_om = induce(ctx, om)
-    om_ind = homalg.syzygy_module(induce(ctx, M))
+    om_ind = homalg.syzygy_module(ind_M)
     clauses.append(_iso_clause("induction_commutes_with_syzygy", ind_om, om_ind))
-    tau_ind = homalg.tau(induce(ctx, M))
+    tau_ind = homalg.tau(ind_M)
     ind_tau = induce(ctx, homalg.tau(M))
     clauses.append(_iso_clause("induction_commutes_with_translate", tau_ind, ind_tau))
     return TheoremReport(
@@ -367,7 +364,7 @@ def verify_main_theorems(
         all_certified = all_certified and cert.valid
         per_block = {}
         for bt in covering:
-            bctx = _block_context(target_ctx, bt)
+            bctx = TiltingContext(target_ctx.algebra, bt)
             comp, _ = block_component(ind, bt)
             bpair = pair_from_modules(bctx, comp)
             bpair = STauTiltPair(
@@ -454,16 +451,6 @@ def verify_main_theorems(
     report.images = images
     report.invariant_nodes = invariant_nodes
     return report
-
-
-def _block_context(target_ctx: TiltingContext, block: Block) -> TiltingContext:
-    cache = getattr(target_ctx, "_block_sub_contexts", None)
-    if cache is None:
-        cache = {}
-        target_ctx._block_sub_contexts = cache
-    if block.index not in cache:
-        cache[block.index] = TiltingContext(target_ctx.algebra, block)
-    return cache[block.index]
 
 
 # -- direct product helper (fixture family) ---------------------------------------

@@ -260,10 +260,6 @@ class SubgroupEmbedding:
         return f"SubgroupEmbedding({self.sub.name} <= {self.amb.name}, {flag})"
 
 
-def identity_embedding(group: FiniteGroup) -> SubgroupEmbedding:
-    return SubgroupEmbedding(group, group)
-
-
 # -- standard constructions ------------------------------------------------
 
 

@@ -12,19 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import rings
-from .ff import FFMatrix
+from .ff import _CODE_DTYPE, FFMatrix
 from .modules import (
     ModuleRegistry,
     RepModule,
+    _indec_iso_witness,
     direct_sum,
     hom_basis,
+    is_isomorphic,
     quotient_module,
     regular_module,
     submodule,
     zero_module,
 )
-
-_CODE_DTYPE = np.int16
 
 
 # -- radical series ------------------------------------------------------------
@@ -85,7 +85,7 @@ def loewy_label(registry: ModuleRegistry, M: RepModule) -> str:
 def projective_cover(M: RepModule) -> tuple[RepModule, FFMatrix]:
     """(P, pi) with pi: P -> M an essential epimorphism from a direct sum
     of projective indecomposables matching top(M)."""
-    registry = _registry(M)
+    registry = M.algebra.registry
     if M.dim == 0:
         return zero_module(M.algebra), FFMatrix.zeros(M.field, 0, 0)
     T, q = top(M)
@@ -102,10 +102,7 @@ def projective_cover(M: RepModule) -> tuple[RepModule, FFMatrix]:
         span = hom_basis(pim, M)
         if not span:
             raise AssertionError("no homomorphisms from the covering projective")
-        sys_cols = [(q @ h).data.ravel() for h in span]
-        A = FFMatrix(M.field, np.array(sys_cols, dtype=_CODE_DTYPE).T)
-        b = FFMatrix(M.field, rho.data.reshape(-1, 1))
-        sol = A.solve(b)
+        sol = rings.in_span(M.field, [q @ h for h in span], [rho])
         if sol is None:
             raise AssertionError("projective cover lift is infeasible")
         pi_c = FFMatrix.zeros(M.field, M.dim, pim.dim)
@@ -148,7 +145,7 @@ def minimal_presentation(M: RepModule) -> tuple[RepModule, RepModule, FFMatrix]:
 def strip_projectives(M: RepModule) -> tuple[RepModule, RepModule]:
     """(non-projective part, projective part), both basic-free direct sums
     of the decomposition parts."""
-    registry = _registry(M)
+    registry = M.algebra.registry
     if M.dim == 0:
         z = zero_module(M.algebra)
         return z, z
@@ -166,7 +163,7 @@ def tau(M: RepModule, cross_check: bool = False) -> RepModule:
     """Auslander-Reiten translate: double syzygy of the projective-free
     part.  With cross_check=True the Nakayama-presentation construction is
     run as well and compared up to isomorphism."""
-    registry = _registry(M)
+    registry = M.algebra.registry
     core, _ = strip_projectives(M)
     if core.dim == 0:
         return zero_module(M.algebra)
@@ -175,9 +172,7 @@ def tau(M: RepModule, cross_check: bool = False) -> RepModule:
     out = direct_sum(*pieces) if pieces else zero_module(M.algebra)
     if cross_check:
         other = nakayama_tau(core)
-        from .modules import is_isomorphic
-
-        ok, _ = is_isomorphic(out, other, registry)
+        ok, _ = is_isomorphic(out, other)
         if not ok:
             raise AssertionError(
                 "translate mismatch: double syzygy vs Nakayama presentation "
@@ -187,17 +182,14 @@ def tau(M: RepModule, cross_check: bool = False) -> RepModule:
 
 
 def tau_indec_cached(registry: ModuleRegistry, pid: int) -> RepModule:
-    cache = getattr(registry, "_tau_cache", None)
-    if cache is None:
-        cache = {}
-        registry._tau_cache = cache
-    if pid not in cache:
-        mod = registry.module(pid)
+    """The translate of one registered indecomposable, memoised by id."""
+
+    def compute():
         if registry.is_projective_id(pid):
-            cache[pid] = zero_module(registry.algebra)
-        else:
-            cache[pid] = syzygy_module(syzygy_module(mod))
-    return cache[pid]
+            return zero_module(registry.algebra)
+        return syzygy_module(syzygy_module(registry.module(pid)))
+
+    return registry.memo("tau", pid, compute)
 
 
 # -- Nakayama construction ------------------------------------------------------
@@ -220,22 +212,13 @@ def nu_of_projective(P: RepModule) -> tuple[RepModule, list[FFMatrix]]:
     basis = rings.reduce_span(P.field, hom_basis(P, reg))
     if not basis:
         return zero_module(algebra), []
-    s = len(basis)
     # right action of a generator g on Hom(P, Lambda): f |-> (x -> f(x) g)
     gen_mats = []
-    stacked = FFMatrix(
-        P.field, np.array([b.data.ravel() for b in basis], dtype=_CODE_DTYPE)
-    ).transpose()
     for gi in algebra.group.gen_indices:
         Rg = _right_mult_matrix(algebra, gi)
-        cols = []
-        for f in basis:
-            rf = Rg @ f
-            sol = stacked.solve(FFMatrix(P.field, rf.data.reshape(-1, 1)))
-            if sol is None:
-                raise AssertionError("right action left the hom space")
-            cols.append([int(x) for x in sol.data.ravel()])
-        C = FFMatrix(P.field, np.array(cols, dtype=_CODE_DTYPE).T)
+        C = rings.in_span(P.field, basis, [Rg @ f for f in basis])
+        if C is None:
+            raise AssertionError("right action left the hom space")
         gen_mats.append(C.transpose())  # dual of a right module is a left module
     return RepModule(algebra, gen_mats), basis
 
@@ -250,17 +233,9 @@ def nakayama_tau(M: RepModule) -> RepModule:
     nu1, basis1 = nu_of_projective(P1)
     nu0, basis0 = nu_of_projective(P0)
     # Hom(d, Lambda): Hom(P0, L) -> Hom(P1, L), f -> f d; nu(d) is its dual
-    stacked1 = FFMatrix(
-        M.field, np.array([b.data.ravel() for b in basis1], dtype=_CODE_DTYPE)
-    ).transpose()
-    cols = []
-    for f in basis0:
-        fd = f @ d
-        sol = stacked1.solve(FFMatrix(M.field, fd.data.reshape(-1, 1)))
-        if sol is None:
-            raise AssertionError("hom functor image left the hom space")
-        cols.append([int(x) for x in sol.data.ravel()])
-    H = FFMatrix(M.field, np.array(cols, dtype=_CODE_DTYPE).T)  # (s1, s0)
+    H = rings.in_span(M.field, basis1, [f @ d for f in basis0])  # (s1, s0)
+    if H is None:
+        raise AssertionError("hom functor image left the hom space")
     nud = H.transpose()  # nu P1 -> nu P0
     ker = nud.nullspace()
     out, _ = submodule(nu1, ker)
@@ -280,19 +255,12 @@ def dual_module(M: RepModule) -> RepModule:
     return RepModule(M.algebra, mats)
 
 
-def dual_map(f: FFMatrix) -> FFMatrix:
-    """The dual of a module map, as a map between the dual modules (matrix
-    transpose in dual coordinates)."""
-    return f.transpose()
-
-
 def transpose_dual_indec(registry: ModuleRegistry, pid: int) -> RepModule:
     """The dual-transpose of a non-projective indecomposable: the cokernel
     of the dualized minimal presentation."""
     M = registry.module(pid)
     P1, P0, d = minimal_presentation(M)
-    DP0 = dual_module(P0)
-    dd = dual_map(d)  # D(P0) -> D(P1)
+    dd = d.transpose()  # the dual map D(P0) -> D(P1), in dual coordinates
     DP1 = dual_module(P1)
     cok, _ = quotient_module(DP1, dd.column_space_basis())
     return cok
@@ -332,7 +300,7 @@ def minimal_left_approximation(
         # complete rad_basis to the full hom space with members of hom_to[ti]
         current = list(rad_basis)
         for h in hom_to[ti]:
-            if rings.in_span(field, current, h) is None:
+            if rings.in_span(field, current, [h]) is None:
                 chosen.append((ti, h))
                 current.append(h)
     if not chosen:
@@ -393,16 +361,7 @@ def cartan_matrix(registry: ModuleRegistry) -> list[list[int]]:
     ]
 
 
-def _registry(M: RepModule) -> ModuleRegistry:
-    reg = M.algebra.registry
-    if reg is None:
-        reg = ModuleRegistry(M.algebra)
-    return reg
-
-
 def _iso_witness_strict(A: RepModule, B: RepModule) -> FFMatrix:
-    from .modules import _indec_iso_witness
-
     if A.dim == 0 and B.dim == 0:
         return FFMatrix.zeros(A.field, 0, 0)
     w = _indec_iso_witness(A, B)

@@ -15,10 +15,8 @@ import numpy as np
 
 from . import rings
 from .algebra import Block, GroupAlgebra
-from .ff import FFMatrix, FieldSpec, block_diag, solve_intertwiner_system
+from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, block_diag, solve_intertwiner_system
 from .groups import group_from_json, group_to_json
-
-_CODE_DTYPE = np.int16
 
 
 class ModuleError(ValueError):
@@ -311,7 +309,7 @@ def _indec_iso_witness(M: RepModule, N: RepModule):
     return None
 
 
-def is_isomorphic(M: RepModule, N: RepModule, registry: "ModuleRegistry | None" = None):
+def is_isomorphic(M: RepModule, N: RepModule):
     """(bool, witness matrix or None).  For general modules the witness is
     assembled from matched indecomposable summands."""
     if M.algebra is not N.algebra:
@@ -320,9 +318,7 @@ def is_isomorphic(M: RepModule, N: RepModule, registry: "ModuleRegistry | None" 
         return False, None
     if M.dim == 0:
         return True, FFMatrix.zeros(M.field, 0, 0)
-    reg = registry or M.algebra.registry
-    if reg is None:
-        reg = ModuleRegistry(M.algebra)
+    reg = M.algebra.registry
     dm = reg.decompose(M)
     dn = reg.decompose(N)
     if sorted(dm.part_ids) != sorted(dn.part_ids):
@@ -391,12 +387,19 @@ class Decomposition:
         return f"Decomposition({self.multiplicities()})"
 
 
+def _content_key(M: RepModule) -> tuple[int, bytes]:
+    """What a decomposition depends on: the generator matrices."""
+    return (M.dim, b"".join(g.data.tobytes() for g in M.gen_mats))
+
+
 class ModuleRegistry:
-    """Per-algebra registry of indecomposable isomorphism classes.
+    """Per-algebra registry of indecomposable isomorphism classes, and the
+    one owner of memoised facts about modules, classes and pairs.
 
     Fingerprints prune candidate classes; a hom-witness search decides.
-    The registry also memoizes hom dimensions, hom bases, endomorphism
-    radicals and semisimple bookkeeping (simples, projectives)."""
+    Every memo table is declared here and read through ``memo``.  Keys are
+    module content, registry ids, pair keys and block indices (None for
+    the whole algebra), never object identities."""
 
     def __init__(self, algebra: GroupAlgebra, seed: int = 20240801):
         self.algebra = algebra
@@ -404,15 +407,34 @@ class ModuleRegistry:
         self.entries: list[RepModule] = []
         self._fingerprints: list[tuple] = []
         self._by_fingerprint: dict[tuple, list[int]] = {}
-        self._hom_dims: dict[tuple[int, int], int] = {}
-        self._hom_bases: dict[tuple[int, int], list[FFMatrix]] = {}
-        self._rad_end: dict[int, list[FFMatrix]] = {}
-        self._decompose_cache: dict[int, Decomposition] = {}
-        self._simple_ids = None
-        self._pim_ids = None
-        self._pim_of_simple = {}
-        self._labels: dict[int, str] = {}
-        algebra.registry = self
+        self._tables: dict[str, dict] = {
+            name: {}
+            for name in (
+                "decompose",  # content key -> Decomposition
+                "idempotent",  # content key -> splitting idempotent or None
+                "semisimple",  # None -> (simple ids, PIM id of each simple)
+                "label",  # id -> label
+                "hom_basis",  # (id, id) -> basis of Hom
+                "rad_end",  # id -> basis of rad End
+                "tau",  # id -> translate module
+                "tau_ids",  # id -> ids of the translate's summands
+                "hom_tau",  # (a, b) -> dim Hom(M_a, tau M_b)
+                "generates",  # (source ids, target id) -> bool
+                "delta",  # (id, part) -> image under the dual-pair map
+                "block_classes",  # block index -> (simple ids, PIM ids)
+                "block_lambda",  # block index -> the block as a module
+                "certificate",  # (block index, pair key) -> Certificate
+                "mutation",  # (block index, pair key, id) -> pair key or None
+            )
+        }
+        algebra._registry = self
+
+    def memo(self, table: str, key, compute):
+        """The value stored under key in the named table, computed once."""
+        entries = self._tables[table]
+        if key not in entries:
+            entries[key] = compute()
+        return entries[key]
 
     # ---- identification
 
@@ -448,43 +470,52 @@ class ModuleRegistry:
     # ---- decomposition
 
     def decompose(self, M: RepModule) -> Decomposition:
-        cached = self._decompose_cache.get(id(M))
-        if cached is not None and cached.module is M:
-            return cached
-        if M._registry_id is not None:
-            dec = Decomposition(
-                M, [(M, FFMatrix.identity(M.field, M.dim))], [M._registry_id]
-            )
-            self._decompose_cache[id(M)] = dec
-            return dec
-        if M.sum_parts is not None and all(
-            p._registry_id is not None for p, _ in M.sum_parts
-        ):
-            # direct sums assembled from registered indecomposables split
-            # along their construction
-            parts = []
-            ids = []
-            for p, offset in M.sum_parts:
-                inc = np.zeros((M.dim, p.dim), dtype=_CODE_DTYPE)
-                inc[offset : offset + p.dim, :] = np.eye(p.dim, dtype=_CODE_DTYPE)
-                parts.append((p, FFMatrix(M.field, inc)))
-                ids.append(p._registry_id)
-            order = sorted(
-                range(len(parts)), key=lambda i: (parts[i][0].dim, ids[i])
-            )
-            dec = Decomposition(
-                M, [parts[i] for i in order], [ids[i] for i in order]
-            )
-            self._decompose_cache[id(M)] = dec
-            return dec
+        """Indecomposable summands of M.  A registered module and a direct
+        sum of registered parts split along their construction; these
+        inclusions depend on how M was built, so they are not memoised.
+        Any other module is split once per content."""
+        if M._registry_id is None:
+            if M.sum_parts is not None and all(
+                p._registry_id is not None for p, _ in M.sum_parts
+            ):
+                parts = []
+                ids = []
+                for p, offset in M.sum_parts:
+                    inc = np.zeros((M.dim, p.dim), dtype=_CODE_DTYPE)
+                    inc[offset : offset + p.dim, :] = np.eye(p.dim, dtype=_CODE_DTYPE)
+                    parts.append((p, FFMatrix(M.field, inc)))
+                    ids.append(p._registry_id)
+                order = sorted(
+                    range(len(parts)), key=lambda i: (parts[i][0].dim, ids[i])
+                )
+                return Decomposition(
+                    M, [parts[i] for i in order], [ids[i] for i in order]
+                )
+            dec = self.memo("decompose", _content_key(M), lambda: self._split(M))
+            if len(dec.part_ids) != 1:
+                return dec
+            # an indecomposable: M itself is the summand, as when it is split
+            M._registry_id = dec.part_ids[0]
+        return Decomposition(
+            M, [(M, FFMatrix.identity(M.field, M.dim))], [M._registry_id]
+        )
+
+    def _split(self, M: RepModule) -> Decomposition:
+        """Split by idempotents of endomorphism rings until every piece is
+        local, then register the pieces."""
         parts = []
         stack = [(M, FFMatrix.identity(M.field, M.dim))]
         while stack:
             X, inc = stack.pop()
             if X.dim == 0:
                 continue
-            E = end_basis(X)
-            e = rings.find_splitting_idempotent(X.field, E, seed=self.seed)
+            e = self.memo(
+                "idempotent",
+                _content_key(X),
+                lambda: rings.find_splitting_idempotent(
+                    X.field, end_basis(X), seed=self.seed
+                ),
+            )
             if e is None:
                 parts.append((X, inc))
                 continue
@@ -501,11 +532,9 @@ class ModuleRegistry:
             pid = self.find_or_register(part)
             keyed.append((pid, part, inc))
         keyed.sort(key=lambda t: (self.entries[t[0]].dim, t[0]))
-        dec = Decomposition(
+        return Decomposition(
             M, [(p, i) for _, p, i in keyed], [pid for pid, _, _ in keyed]
         )
-        self._decompose_cache[id(M)] = dec
-        return dec
 
     def ids_of(self, M: RepModule) -> list[int]:
         return self.decompose(M).part_ids
@@ -513,29 +542,28 @@ class ModuleRegistry:
     # ---- cached hom data
 
     def hom_dim_ids(self, a: int, b: int) -> int:
-        key = (a, b)
-        if key not in self._hom_dims:
-            self._hom_dims[key] = len(self.hom_basis_ids(a, b))
-        return self._hom_dims[key]
+        return len(self.hom_basis_ids(a, b))
 
     def hom_basis_ids(self, a: int, b: int) -> list[FFMatrix]:
-        key = (a, b)
-        if key not in self._hom_bases:
-            self._hom_bases[key] = hom_basis(self.entries[a], self.entries[b])
-            self._hom_dims[key] = len(self._hom_bases[key])
-        return self._hom_bases[key]
+        return self.memo(
+            "hom_basis", (a, b), lambda: hom_basis(self.entries[a], self.entries[b])
+        )
 
     def rad_end_basis(self, idx: int) -> list[FFMatrix]:
-        if idx not in self._rad_end:
-            E = end_basis(self.entries[idx])
-            self._rad_end[idx] = rings.algebra_radical(self.algebra.field, E)
-        return self._rad_end[idx]
+        return self.memo(
+            "rad_end",
+            idx,
+            lambda: rings.algebra_radical(
+                self.algebra.field, end_basis(self.entries[idx])
+            ),
+        )
 
     # ---- semisimple bookkeeping
 
-    def _bootstrap(self):
-        if self._simple_ids is not None:
-            return
+    def _semisimple(self) -> tuple[list[int], dict[int, int]]:
+        return self.memo("semisimple", None, self._bootstrap)
+
+    def _bootstrap(self) -> tuple[list[int], dict[int, int]]:
         from . import homalg  # cycle: top() needs the algebra radical helpers
 
         reg_mod = regular_module(self.algebra)
@@ -548,21 +576,19 @@ class ModuleRegistry:
         top_mod, _ = homalg.top(reg_mod)
         simple_dec = self.decompose(top_mod)
         simple_ids = sorted(set(simple_dec.part_ids), key=self._simple_sort_key)
-        self._simple_ids = simple_ids
-        pim_ids = []
-        for pid in set(pim_dec.part_ids):
-            pim_ids.append(pid)
+        pim_of_simple = {}
         # match each PIM to its simple top
-        for pid in pim_ids:
+        for pid in set(pim_dec.part_ids):
             t, _ = homalg.top(self.entries[pid])
             tid = self.decompose(t).part_ids
             if len(tid) != 1:
                 raise AssertionError("projective indecomposable with decomposable top")
-            self._pim_of_simple[tid[0]] = pid
-        self._pim_ids = [self._pim_of_simple[s] for s in simple_ids]
+            pim_of_simple[tid[0]] = pid
+        labels = self._tables["label"]
         for pos, sid in enumerate(simple_ids):
-            self._labels[sid] = str(pos + 1)
-            self._labels[self._pim_of_simple[sid]] = f"P{pos + 1}"
+            labels[sid] = str(pos + 1)
+            labels[pim_of_simple[sid]] = f"P{pos + 1}"
+        return simple_ids, pim_of_simple
 
     def _simple_sort_key(self, sid: int):
         mod = self.entries[sid]
@@ -572,16 +598,14 @@ class ModuleRegistry:
         return (not is_trivial, mod.dim, self._fingerprints[sid])
 
     def simple_ids(self) -> list[int]:
-        self._bootstrap()
-        return list(self._simple_ids)
+        return list(self._semisimple()[0])
 
     def pim_ids(self) -> list[int]:
-        self._bootstrap()
-        return list(self._pim_ids)
+        simple_ids, pim_of_simple = self._semisimple()
+        return [pim_of_simple[s] for s in simple_ids]
 
     def pim_of_simple(self, sid: int) -> int:
-        self._bootstrap()
-        return self._pim_of_simple[sid]
+        return self._semisimple()[1][sid]
 
     def is_projective_id(self, idx: int) -> bool:
         return idx in set(self.pim_ids())
@@ -589,23 +613,13 @@ class ModuleRegistry:
     def n_simples(self) -> int:
         return len(self.simple_ids())
 
-    def composition_vector(self, M: RepModule) -> list[int]:
-        """Composition multiplicities [M : S] = dim Hom(P(S), M), ordered
-        like simple_ids()."""
-        self._bootstrap()
-        out = []
-        for sid in self._simple_ids:
-            pim = self.entries[self._pim_of_simple[sid]]
-            out.append(len(hom_basis(pim, M)))
-        return out
-
     def label(self, idx: int) -> str:
-        self._bootstrap()
-        if idx not in self._labels:
-            from . import homalg
+        from . import homalg
 
-            self._labels[idx] = homalg.loewy_label(self, self.entries[idx])
-        return self._labels[idx]
+        self._semisimple()
+        return self.memo(
+            "label", idx, lambda: homalg.loewy_label(self, self.entries[idx])
+        )
 
     def direct_sum_of_ids(self, ids) -> RepModule:
         if not ids:

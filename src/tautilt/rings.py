@@ -20,9 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import polys
-from .ff import FFMatrix, FieldSpec
-
-_CODE_DTYPE = np.int16
+from .ff import _CODE_DTYPE, FFMatrix, FieldSpec
 
 
 class DecompositionError(RuntimeError):
@@ -57,17 +55,30 @@ def reduce_span(field: FieldSpec, mats: list[FFMatrix]) -> list[FFMatrix]:
     return [FFMatrix(field, basis.data[i].reshape(shape)) for i in range(basis.rows)]
 
 
-def in_span(field: FieldSpec, basis: list[FFMatrix], target: FFMatrix):
-    """Coordinates of target in the span of basis, or None."""
-    if target.is_zero():
-        return FFMatrix.zeros(field, max(len(basis), 0), 1) if basis else FFMatrix.zeros(field, 0, 1)
+def _as_columns(field: FieldSpec, mats: list[FFMatrix]) -> FFMatrix:
+    """The matrices, each flattened, as the columns of one matrix."""
+    flat = np.array([m.data.ravel() for m in mats], dtype=_CODE_DTYPE)
+    return FFMatrix(field, flat).transpose()
+
+
+def in_span(field: FieldSpec, basis: list[FFMatrix], targets: list[FFMatrix]):
+    """Coordinates of the targets in the span of basis, one column per
+    target (shape len(basis) x len(targets)), or None if some target lies
+    outside the span."""
+    if all(t.is_zero() for t in targets):
+        return FFMatrix.zeros(field, len(basis), len(targets))
     if not basis:
         return None
-    S = FFMatrix(
-        field, np.array([m.data.ravel() for m in basis], dtype=_CODE_DTYPE)
-    ).transpose()
-    v = FFMatrix(field, target.data.reshape(-1, 1))
-    return S.solve(v)
+    return _as_columns(field, basis).solve(_as_columns(field, targets))
+
+
+def _reduce_vecs(field: FieldSpec, vecs) -> list[list[int]]:
+    """Canonical basis (reduced row echelon rows) of the span of vectors."""
+    vecs = [list(v) for v in vecs if any(v)]
+    if not vecs:
+        return []
+    M = FFMatrix(field, np.array(vecs, dtype=_CODE_DTYPE))
+    return [list(r) for r in M.row_space_basis().data.tolist()]
 
 
 def _trace_form(field: FieldSpec, J: list[FFMatrix]) -> FFMatrix:
@@ -167,30 +178,24 @@ class QuotientAlgebra:
         lifts = []
         current = list(rad_reduced)
         for m in alg_basis:
-            if in_span(field, current, m) is None:
+            if in_span(field, current, [m]) is None:
                 lifts.append(m)
                 current.append(m)
         self.lifts = lifts
         self.dim = len(lifts)
         self._solver_basis = rad_reduced + lifts
-        unit_coords = self.coords(FFMatrix.identity(field, alg_basis[0].rows))
-        self.unit = unit_coords
+        unit = self._coords([FFMatrix.identity(field, alg_basis[0].rows)])
+        self.unit = [int(c) for c in unit.data.ravel()]
         # left regular representation: columns are coords of lift_i * lift_j
-        self._regular = []
-        for i in range(self.dim):
-            cols = []
-            for j in range(self.dim):
-                cols.append(self.coords(lifts[i] @ lifts[j]))
-            self._regular.append(
-                FFMatrix(field, np.array(cols, dtype=_CODE_DTYPE).T)
-            )
+        self._regular = [self._coords([u @ v for v in lifts]) for u in lifts]
 
-    def coords(self, m: FFMatrix):
-        """Quotient coordinates (w.r.t. lifts) of an algebra element."""
-        sol = in_span(self.field, self._solver_basis, m)
+    def _coords(self, mats: list[FFMatrix]) -> FFMatrix:
+        """Quotient coordinates (w.r.t. lifts) of algebra elements, one
+        column each."""
+        sol = in_span(self.field, self._solver_basis, mats)
         if sol is None:
             raise AssertionError("element not in the algebra span")
-        return [int(c) for c in sol.data.ravel()[len(self.rad) :]]
+        return sol.take_rows(range(len(self.rad), sol.rows))
 
     def regular_matrix(self, coords) -> FFMatrix:
         out = FFMatrix.zeros(self.field, self.dim, self.dim)
@@ -302,22 +307,15 @@ def frobenius_stable_part(field: FieldSpec, vectors, mul_vec):
     algebra: the stable image of the p-th power map.  ``mul_vec`` multiplies
     two coefficient vectors."""
 
-    def reduce_vecs(vecs):
-        vecs = [list(v) for v in vecs if any(v)]
-        if not vecs:
-            return []
-        M = FFMatrix(field, np.array(vecs, dtype=_CODE_DTYPE))
-        return [list(r) for r in M.row_space_basis().data.tolist()]
-
     def pth_power(v):
         out = v
         for _ in range(field.p - 1):
             out = mul_vec(out, v)
         return out
 
-    basis = reduce_vecs(vectors)
+    basis = _reduce_vecs(field, vectors)
     while True:
-        powered = reduce_vecs([pth_power(v) for v in basis])
+        powered = _reduce_vecs(field, [pth_power(v) for v in basis])
         if len(powered) == len(basis):
             # the p-power map is now bijective on the span, hence stable
             return powered
@@ -331,23 +329,15 @@ def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
     multiplies two vectors.  Splitting is by minimal polynomials of basis
     elements; over a splitting field this terminates without search."""
 
-    def reduce_vecs(vecs):
-        vecs = [list(v) for v in vecs if any(v)]
-        if not vecs:
-            return []
-        M = FFMatrix(field, np.array(vecs, dtype=_CODE_DTYPE))
-        return [list(r) for r in M.row_space_basis().data.tolist()]
-
     def mult_matrix(v, sub_basis):
-        cols = []
-        S = FFMatrix(field, np.array(sub_basis, dtype=_CODE_DTYPE)).transpose()
-        for b in sub_basis:
-            prod = mul_vec(v, b)
-            sol = S.solve(FFMatrix(field, np.array(prod, dtype=_CODE_DTYPE).reshape(-1, 1)))
-            if sol is None:
-                raise AssertionError("multiplication left the subalgebra")
-            cols.append([int(x) for x in sol.data.ravel()])
-        return FFMatrix(field, np.array(cols, dtype=_CODE_DTYPE).T)
+        sol = in_span(
+            field,
+            [FFMatrix.column(field, b) for b in sub_basis],
+            [FFMatrix.column(field, mul_vec(v, b)) for b in sub_basis],
+        )
+        if sol is None:
+            raise AssertionError("multiplication left the subalgebra")
+        return sol
 
     def eval_poly(coeffs, v, local_unit):
         acc = [0] * len(v)
@@ -372,11 +362,11 @@ def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
             if not any(e):
                 continue
             rest = [field.sub(u, x) for u, x in zip(local_unit, e)]
-            left = reduce_vecs([mul_vec(e, v) for v in sub_basis])
-            right = reduce_vecs([mul_vec(rest, v) for v in sub_basis])
+            left = _reduce_vecs(field, [mul_vec(e, v) for v in sub_basis])
+            right = _reduce_vecs(field, [mul_vec(rest, v) for v in sub_basis])
             return split(e, left) + split(rest, right)
         raise FieldNotSplittingError(
             "commutative algebra does not split over the ground field"
         )
 
-    return split(list(unit), reduce_vecs(basis))
+    return split(list(unit), _reduce_vecs(field, basis))

@@ -282,13 +282,11 @@ def test_splitting_field_degree():
 
 
 def test_block_simple_counts():
-    from tautilt.modules import ModuleRegistry
+    from tautilt.engine import TiltingContext
 
     alg = algebra_of(symmetric_group(3), 2, 2)
-    ModuleRegistry(alg)
-    counts = {b.index: b.simple_count for b in alg.blocks()}
+    counts = {b.index: TiltingContext(alg, b).n_simples for b in alg.blocks()}
     # principal block holds the trivial simple, the matrix block the 2-dim one
     assert sorted(counts.values()) == [1, 1]
     alg2 = algebra_of(alternating_group(4), 2, 2)
-    ModuleRegistry(alg2)
-    assert alg2.blocks()[0].simple_count == 3
+    assert TiltingContext(alg2, alg2.blocks()[0]).n_simples == 3

@@ -1,8 +1,17 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tautilt
+from tautilt import cli
 from tautilt.cli import main
+from tautilt.engine import CriteriaDisagree, EngineError
+from tautilt.rings import DecompositionError
 
 
 @pytest.fixture()
@@ -171,6 +180,64 @@ def test_stt_determinism_and_cache(group_files, capsys, tmp_path, monkeypatch):
         ],
     )
     assert (out, dot.read_bytes(), js.read_bytes()) == outs[0]
+
+
+def test_stt_field_not_splitting(group_files, capsys):
+    code, out, err = run(
+        capsys, ["stt", group_files["C3"], "--p", "2", "--m", "1", "--no-cache"]
+    )
+    assert code == 6
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "try a larger --m" in err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (DecompositionError("no splitting idempotent found in 400 tries"), 7),
+        (CriteriaDisagree("counting=True vs approximation=False"), 8),
+        (EngineError("multiple certified completions"), 8),
+    ],
+)
+def test_stt_failure_exit_codes(group_files, capsys, monkeypatch, exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "enumerate_poset", fail)
+    got, out, err = run(capsys, ["stt", group_files["C2"], "--p", "2", "--no-cache"])
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(exc) in err
+
+
+def test_cache_entry_invalidated_by_source_edit(group_files, tmp_path):
+    """A hit serves the stored bytes; after a package source changes, the
+    same key is a miss and the run computes afresh."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        Path(tautilt.__file__).parent,
+        src / "tautilt",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "tautilt.cli", "blocks", group_files["C2"],
+            "--p", "2", "--cache-dir", str(cache)]
+
+    def stdout():
+        return subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+
+    fresh = stdout()
+    (entry,) = cache.glob("*.json")
+    data = json.loads(entry.read_text())
+    data["outputs"]["stdout"] = "from the cache\n"
+    entry.write_text(json.dumps(data))
+    assert stdout() == b"from the cache\n"
+    with open(src / "tautilt" / "polys.py", "a") as fh:
+        fh.write("\n# edited\n")
+    assert stdout() == fresh
 
 
 def test_verify_c3_in_s3_p3(group_files, capsys):

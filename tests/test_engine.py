@@ -317,3 +317,12 @@ def test_figure_node_a4(a4_gf4):
     assert len(pair.m_ids) == 3
     cert = certify_support_tau_tilting(pair)
     assert cert.valid
+
+
+def test_contexts_of_one_block_share_certificates(s4_gf4):
+    block = s4_gf4.blocks()[0]
+    first, second = TiltingContext(s4_gf4, block), TiltingContext(s4_gf4, block)
+    top = STauTiltPair(first, tuple(first.pim_ids()), ())
+    cert = certify_support_tau_tilting(top)
+    assert certify_support_tau_tilting(STauTiltPair(second, top.m_ids, ())) is cert
+    assert geq(top, STauTiltPair(second, top.m_ids, ()))

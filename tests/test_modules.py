@@ -465,3 +465,37 @@ def test_field_not_splitting_detected():
     algebra = make_context(alternating_group(4), 2, 1)
     with pytest.raises(FieldNotSplittingError):
         algebra.registry.simple_ids()
+
+
+# -- the registry memo -----------------------------------------------------------
+
+
+def test_copy_with_equal_matrices_decomposes_without_end_basis(monkeypatch):
+    from tautilt import modules
+
+    alg = GroupAlgebra(alternating_group(4), field_create(2, 2))
+    M = regular_module(alg)
+    first = alg.registry.decompose(M)
+    calls = []
+    real = modules.end_basis
+    monkeypatch.setattr(modules, "end_basis", lambda X: calls.append(X) or real(X))
+    again = alg.registry.decompose(RepModule(alg, M.gen_mats))
+    assert calls == []
+    assert again.part_ids == first.part_ids
+
+
+def test_copy_of_indecomposable_takes_its_class():
+    alg = GroupAlgebra(alternating_group(4), field_create(2, 2))
+    reg = alg.registry
+    P = reg.module(reg.pim_ids()[0])
+    copy = RepModule(alg, P.gen_mats)
+    assert reg.ids_of(copy) == [reg.pim_ids()[0]]
+    assert copy._registry_id == reg.pim_ids()[0]
+
+
+def test_decomposing_copies_keeps_one_memo_entry():
+    alg = GroupAlgebra(alternating_group(4), field_create(2, 2))
+    M = regular_module(alg)
+    for _ in range(50):
+        alg.registry.decompose(RepModule(alg, M.gen_mats))
+    assert len(alg.registry._tables["decompose"]) == 1
