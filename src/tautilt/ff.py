@@ -2,8 +2,15 @@
 
 Field elements are stored as integer codes in ``range(q)`` with ``q = p**m``:
 the code of an element with polynomial coordinates ``(c_0, ..., c_{m-1})``
-is ``sum(c_i * p**i)``.  Arithmetic goes through precomputed lookup
-tables, so matrix operations vectorize over numpy integer arrays.
+is ``sum(c_i * p**i)``.  Elementwise arithmetic goes through precomputed
+lookup tables over numpy integer arrays.
+
+Matrix products, also inside ``charpoly``, run on coefficient planes
+(``_matmul``): one float64 BLAS product (m r x s) @ (s x m c) of the digit
+planes of A = sum A_i x^i and B gives every A_i B_j, a fixed (m^2 x m) matrix
+folds them into the coordinates of sum A_i B_j x^(i+j), and these are reduced
+mod p and encoded.  The table loops this replaced are the test oracles in
+tests/ff_oracles.py.  Results built here skip the range check of FFMatrix().
 
 Row reduction over GF(2^m) of a matrix with at least ``_PACKED_MIN_CELLS``
 cells runs on bit planes instead: plane k packs bit k of every code into
@@ -121,8 +128,6 @@ class FieldSpec:
                 code = code * p + (c % p)
             return code
 
-        self._decode = decode
-        self._encode = encode
         add = np.zeros((q, q), dtype=_CODE_DTYPE)
         mul = np.zeros((q, q), dtype=_CODE_DTYPE)
         neg = np.zeros(q, dtype=_CODE_DTYPE)
@@ -148,13 +153,20 @@ class FieldSpec:
             for _ in range(self.p - 1):
                 acc = int(mul[acc, a])
             frob[a] = acc
-        for t in (add, mul, neg, inv, frob):
+        digits = np.array(coeffs, dtype=np.float64)  # (q, m)
+        places = p ** np.arange(m, dtype=np.int64)
+        planes = digits.T.copy()
+        fold = digits[mul[places[:, None], places[None, :]]].reshape(m * m, m)
+        for t in (add, mul, neg, inv, frob, planes, fold, places):
             t.flags.writeable = False
         self.add_table = add
         self.mul_table = mul
         self.neg_table = neg
         self.inv_table = inv
         self.frob_table = frob  # x -> x^p
+        self.digit_planes = planes  # (m, q): digit_planes[i, a] = c_i of a
+        self.fold = fold  # (m*m, m): fold[i*m + j, l] = coordinate l of x^(i+j)
+        self.places = places  # (m,): p^l
 
     # -- scalar helpers -------------------------------------------------
 
@@ -174,30 +186,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         return int(self.inv_table[a])
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def sum(self, codes: np.ndarray, axis: int) -> np.ndarray:
-        """Field sum of an array of codes along an axis, computed on the
-        base-p digits of the codes (the coordinates of the elements)."""
-        p = self.p
-        digits = codes.astype(np.int64)
-        out = 0
-        place = 1
-        for _ in range(self.m):
-            out = out + (digits % p).sum(axis=axis) % p * place
-            digits //= p
-            place *= p
-        return np.asarray(out, dtype=_CODE_DTYPE)
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^(p^k); k may be reduced mod m since Frobenius has order m."""
@@ -326,7 +314,17 @@ class FFMatrix:
             raise FFError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):
             raise FFError("entry out of range for field")
-        arr = np.ascontiguousarray(arr)
+        self._freeze(field, arr)
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, arr: np.ndarray) -> "FFMatrix":
+        """Wrap codes computed here from valid codes: no range check."""
+        self = cls.__new__(cls)
+        self._freeze(field, arr)
+        return self
+
+    def _freeze(self, field: FieldSpec, arr: np.ndarray):
+        arr = np.ascontiguousarray(arr, dtype=_CODE_DTYPE)
         arr.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", arr)
@@ -338,11 +336,11 @@ class FFMatrix:
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "FFMatrix":
-        return FFMatrix(field, np.zeros((rows, cols), dtype=_CODE_DTYPE))
+        return FFMatrix._trusted(field, np.zeros((rows, cols), dtype=_CODE_DTYPE))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "FFMatrix":
-        return FFMatrix(field, np.eye(n, dtype=_CODE_DTYPE))
+        return FFMatrix._trusted(field, np.eye(n, dtype=_CODE_DTYPE))
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Iterable[Iterable[int]]) -> "FFMatrix":
@@ -393,38 +391,28 @@ class FFMatrix:
 
     def __add__(self, other: "FFMatrix") -> "FFMatrix":
         self._check_same(other)
-        return FFMatrix(self.field, self.field.add_table[self.data, other.data])
+        return FFMatrix._trusted(self.field, self.field.add_table[self.data, other.data])
 
     def __sub__(self, other: "FFMatrix") -> "FFMatrix":
         self._check_same(other)
         f = self.field
-        return FFMatrix(f, f.add_table[self.data, f.neg_table[other.data]])
+        return FFMatrix._trusted(f, f.add_table[self.data, f.neg_table[other.data]])
 
     def __neg__(self) -> "FFMatrix":
-        return FFMatrix(self.field, self.field.neg_table[self.data])
+        return FFMatrix._trusted(self.field, self.field.neg_table[self.data])
 
     def scale(self, c: int) -> "FFMatrix":
-        return FFMatrix(self.field, self.field.mul_table[c, self.data])
+        return FFMatrix._trusted(self.field, self.field.mul_table[c, self.data])
 
     def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
         if self.field is not other.field:
             raise FFError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise FFError(f"shape mismatch {self.shape} @ {other.shape}")
-        f = self.field
-        r, s = self.shape
-        c = other.cols
-        out = np.zeros((r, c), dtype=_CODE_DTYPE)
-        A, B = self.data, other.data
-        for k in range(s):
-            col = A[:, k]
-            if not col.any():
-                continue
-            out = f.add_table[out, f.mul_table[col[:, None], B[k, :][None, :]]]
-        return FFMatrix(f, out)
+        return FFMatrix._trusted(self.field, _matmul(self.field, self.data, other.data))
 
     def transpose(self) -> "FFMatrix":
-        return FFMatrix(self.field, self.data.T)
+        return FFMatrix._trusted(self.field, self.data.T)
 
     def kron(self, other: "FFMatrix") -> "FFMatrix":
         """Kronecker product (self tensor other)."""
@@ -432,19 +420,19 @@ class FFMatrix:
         a, b = self.data, other.data
         out = f.mul_table[a[:, None, :, None], b[None, :, None, :]]
         out = out.reshape(self.rows * other.rows, self.cols * other.cols)
-        return FFMatrix(f, out)
+        return FFMatrix._trusted(f, out)
 
     def hstack(self, other: "FFMatrix") -> "FFMatrix":
-        return FFMatrix(self.field, np.hstack([self.data, other.data]))
+        return FFMatrix._trusted(self.field, np.hstack([self.data, other.data]))
 
     def vstack(self, other: "FFMatrix") -> "FFMatrix":
-        return FFMatrix(self.field, np.vstack([self.data, other.data]))
+        return FFMatrix._trusted(self.field, np.vstack([self.data, other.data]))
 
     def take_columns(self, col_idx) -> "FFMatrix":
-        return FFMatrix(self.field, self.data[:, list(col_idx)])
+        return FFMatrix._trusted(self.field, self.data[:, list(col_idx)])
 
     def take_rows(self, row_idx) -> "FFMatrix":
-        return FFMatrix(self.field, self.data[list(row_idx), :])
+        return FFMatrix._trusted(self.field, self.data[list(row_idx), :])
 
     def _check_same(self, other):
         if self.field is not other.field or self.shape != other.shape:
@@ -462,7 +450,7 @@ class FFMatrix:
             R, pivots = _rref_packed(f, self.data)
         else:
             R, pivots = _rref_table(f, self.data)
-        return FFMatrix(f, R), pivots
+        return FFMatrix._trusted(f, R), pivots
 
     def rank(self) -> int:
         _, pivots = self.rref()
@@ -479,12 +467,9 @@ class FFMatrix:
         pivset = set(pivots)
         free = [c for c in range(ncols) if c not in pivset]
         basis = np.zeros((ncols, len(free)), dtype=_CODE_DTYPE)
-        Rd = R.data
-        for j, fc in enumerate(free):
-            basis[fc, j] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, j] = f.neg_table[Rd[i, fc]]
-        return FFMatrix(f, basis)
+        basis[free, range(len(free))] = 1
+        basis[list(pivots)] = f.neg_table[R.data[: len(pivots), free]]
+        return FFMatrix._trusted(f, basis)
 
     def column_space_basis(self) -> "FFMatrix":
         """Columns of self restricted to a basis of the column space (the
@@ -504,7 +489,7 @@ class FFMatrix:
         R, pivots = aug.rref()
         if pivots[:n] != tuple(range(n)):
             raise FFError("matrix is singular")
-        return FFMatrix(self.field, R.data[:, n:])
+        return FFMatrix._trusted(self.field, R.data[:, n:])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -518,10 +503,8 @@ class FFMatrix:
         if any(p >= n for p in pivots):
             return None
         X = np.zeros((n, rhs.cols), dtype=_CODE_DTYPE)
-        Rd = R.data
-        for i, pc in enumerate(pivots):
-            X[pc, :] = Rd[i, n:]
-        return FFMatrix(f, X)
+        X[list(pivots)] = R.data[: len(pivots), n:]
+        return FFMatrix._trusted(f, X)
 
     # -- polynomial data ---------------------------------------------------
 
@@ -549,10 +532,9 @@ class FFMatrix:
         for k in range(1, n + 1):
             powers.append(powers[-1] @ self)
             flat.append(powers[-1].data.ravel())
-            stacked = FFMatrix(f, np.array(flat, dtype=_CODE_DTYPE))
-            # rows 0..k; find dependence of last row on previous
-            M = stacked.take_rows(range(k)).transpose()
-            rhs = FFMatrix(f, flat[k].reshape(-1, 1))
+            # is the last power a combination of the earlier ones?
+            M = FFMatrix._trusted(f, np.array(flat[:k], dtype=_CODE_DTYPE).T)
+            rhs = FFMatrix._trusted(f, flat[k].reshape(-1, 1))
             sol = M.solve(rhs)
             if sol is not None:
                 coeffs = [f.neg(int(c)) for c in sol.data.ravel()]
@@ -566,47 +548,43 @@ class FFMatrix:
             raise FFError("characteristic polynomial needs a square matrix")
         n = self.rows
         f = self.field
-        if n == 0:
-            return (1,)
         H = self.data.copy()
         addt, mult, negt, invt = f.add_table, f.mul_table, f.neg_table, f.inv_table
         for k in range(n - 2):
-            nz = np.nonzero(H[k + 1 :, k])[0]
+            nz = H[k + 1 :, k].nonzero()[0] + k + 1
             if nz.size == 0:
                 continue
-            i = k + 1 + int(nz[0])
-            if i != k + 1:
-                H[[k + 1, i]] = H[[i, k + 1]]
-                H[:, [k + 1, i]] = H[:, [i, k + 1]]
-            pv = H[k + 1, k]
-            pv_inv = invt[pv]
-            rows = np.nonzero(H[k + 2 :, k])[0] + k + 2
+            i, j = int(nz[0]), k + 1
+            if i != j:
+                H[j], H[i] = H[i].copy(), H[j].copy()
+                H[:, j], H[:, i] = H[:, i].copy(), H[:, j].copy()
+            # Row i now holds the old row j, which is zero in column k.
+            rows = nz[1:]
             if rows.size:
-                factors = mult[pv_inv, H[rows, k]]
-                # row_r -= factor * row_{k+1}
-                H[rows] = addt[H[rows], mult[negt[factors][:, None], H[k + 1][None, :]]]
-                # col_{k+1} += factor * col_r  (inverse similarity op)
-                for r, fac in zip(rows, factors):
-                    H[:, k + 1] = addt[H[:, k + 1], mult[fac, H[:, r]]]
-        # charpoly recurrence on Hessenberg matrix
-        polys = [np.array([1], dtype=_CODE_DTYPE)]  # p_0 = 1
+                factors = mult[invt[H[j, k]], H[rows, k]]
+                # row_r -= factor_r * row_j
+                H[rows] = addt[H[rows], mult[negt[factors][:, None], H[j][None, :]]]
+                # col_j += sum_r factor_r * col_r  (inverse similarity op)
+                H[:, j] = addt[H[:, j], _matmul(f, H[:, rows], factors[:, None])[:, 0]]
+        # p_k = x p_{k-1} - sum_{i<=k} h_{k-1,k-2} ... h_{i,i-1} h_{i-1,k-1} p_{i-1}
+        # on Python ints; a zero subdiagonal entry ends the sum.
+        h = H.tolist()
+        add, mul, neg = addt.item, mult.item, negt.item
+        polys = [[1]]
         for k in range(1, n + 1):
-            hkk = H[k - 1, k - 1]
-            prev = polys[k - 1]
-            cur = np.zeros(k + 1, dtype=_CODE_DTYPE)
-            cur[1:] = prev  # x * p_{k-1}
-            cur[:-1] = addt[cur[:-1], mult[negt[hkk], prev]]
+            cur = [0] + polys[k - 1]
             run = 1
-            for i in range(k - 1, 0, -1):
-                run = mult[run, H[i, i - 1]]
-                if run == 0:
-                    break
-                coeff = mult[run, H[i - 1, k - 1]]
-                if coeff:
-                    contrib = mult[negt[coeff], polys[i - 1]]
-                    cur[: len(contrib)] = addt[cur[: len(contrib)], contrib]
+            for i in range(k, 0, -1):
+                if i < k:
+                    run = mul(run, h[i][i - 1])
+                    if run == 0:
+                        break
+                c = neg(mul(run, h[i - 1][k - 1]))
+                for d, a in enumerate(polys[i - 1] if c else ()):
+                    if a:
+                        cur[d] = add(cur[d], mul(c, a))
             polys.append(cur)
-        return tuple(int(c) for c in polys[n])
+        return tuple(polys[n])
 
     def charpoly_esym(self, i: int) -> int:
         """Degree-i elementary symmetric function of the eigenvalues,
@@ -629,6 +607,27 @@ class FFMatrix:
         for i in range(min(self.rows, self.cols)):
             t = f.add(t, int(self.data[i, i]))
         return t
+
+
+def _matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for code arrays over f: one float64 BLAS product on coefficient
+    planes (module docstring), exact while its intermediates, at most
+    m^2 s (p-1)^3 for inner dimension s, stay below 2^53; else FFError.  The
+    mod-p step runs on int64, where numpy's % is several times faster than fmod."""
+    (r, s), c, p, m = A.shape, B.shape[1], f.p, f.m
+    if m * m * s * (p - 1) ** 3 >= 2**53:
+        raise FFError(f"inner dimension {s} is too long for an exact product over {f}")
+    if m == 1:
+        prod = A.astype(np.float64) @ B.astype(np.float64)
+        return (prod.astype(np.int64) % p).astype(_CODE_DTYPE)
+    planes = f.digit_planes
+    left = np.take(planes, A, axis=1).reshape(m * r, s)  # row block i: A_i
+    right = planes.T[B].reshape(s, c * m)  # column k m + j: column k of B_j
+    # (i, row, col, j) -> (row, col, i m + j), the rows the fold reads
+    prod = (left @ right).reshape(m, r, c, m).transpose(1, 2, 0, 3).reshape(r * c, m * m)
+    coords = (prod @ f.fold).astype(np.int64)
+    coords %= p
+    return (coords @ f.places).astype(_CODE_DTYPE).reshape(r, c)
 
 
 def _rref_table(f: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -795,7 +794,7 @@ def solve_intertwiner_system(
         for b in blocks[1:]:
             stacked = stacked.vstack(b)
         ns = stacked.nullspace()
-    return [FFMatrix(field, ns.data[:, j].reshape(r, c)) for j in range(ns.cols)]
+    return [FFMatrix._trusted(field, ns.data[:, j].reshape(r, c)) for j in range(ns.cols)]
 
 
 def stack_columns(field: FieldSpec, mats: Sequence[FFMatrix]) -> FFMatrix:
@@ -803,7 +802,7 @@ def stack_columns(field: FieldSpec, mats: Sequence[FFMatrix]) -> FFMatrix:
     if not mats:
         return FFMatrix.zeros(field, 0, 0)
     cols = [m.data.ravel() for m in mats]
-    return FFMatrix(field, np.array(cols, dtype=_CODE_DTYPE).T)
+    return FFMatrix._trusted(field, np.array(cols, dtype=_CODE_DTYPE).T)
 
 
 def block_diag(field: FieldSpec, mats: Sequence[FFMatrix]) -> FFMatrix:
@@ -815,4 +814,4 @@ def block_diag(field: FieldSpec, mats: Sequence[FFMatrix]) -> FFMatrix:
         out[r : r + m.rows, c : c + m.cols] = m.data
         r += m.rows
         c += m.cols
-    return FFMatrix(field, out)
+    return FFMatrix._trusted(field, out)

@@ -411,6 +411,7 @@ class ModuleRegistry:
             name: {}
             for name in (
                 "decompose",  # content key -> Decomposition
+                "end",  # content key -> basis of End
                 "idempotent",  # content key -> splitting idempotent or None
                 "semisimple",  # None -> (simple ids, PIM id of each simple)
                 "label",  # id -> label
@@ -509,11 +510,12 @@ class ModuleRegistry:
             X, inc = stack.pop()
             if X.dim == 0:
                 continue
+            key = _content_key(X)
             e = self.memo(
                 "idempotent",
-                _content_key(X),
+                key,
                 lambda: rings.find_splitting_idempotent(
-                    X.field, end_basis(X), seed=self.seed
+                    X.field, self.memo("end", key, lambda: end_basis(X)), seed=self.seed
                 ),
             )
             if e is None:
@@ -550,12 +552,10 @@ class ModuleRegistry:
         )
 
     def rad_end_basis(self, idx: int) -> list[FFMatrix]:
+        M = self.entries[idx]
+        end = self.memo("end", _content_key(M), lambda: end_basis(M))
         return self.memo(
-            "rad_end",
-            idx,
-            lambda: rings.algebra_radical(
-                self.algebra.field, end_basis(self.entries[idx])
-            ),
+            "rad_end", idx, lambda: rings.algebra_radical(self.algebra.field, end)
         )
 
     # ---- semisimple bookkeeping
@@ -653,7 +653,11 @@ def module_from_json(data, algebra: GroupAlgebra | None = None) -> RepModule:
             raise ModuleError("module JSON field differs from the session field")
     dim = data["dim"]
     mats = []
-    for entries in data["generator_matrices"]:
+    for k, entries in enumerate(data["generator_matrices"]):
+        bad = [x for x in entries if type(x) is not int or not 0 <= x < field.q]
+        if bad:
+            raise ModuleError(f"generator matrix {k}: entry {bad[0]!r} is not a field code "
+                              f"in range({field.q})")
         arr = np.array(entries, dtype=_CODE_DTYPE).reshape(dim, dim)
         mats.append(FFMatrix(field, arr))
     return RepModule(algebra, mats, label=data.get("label", ""), verify=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import polys
-from .ff import _CODE_DTYPE, FFMatrix, FieldSpec
+from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, _matmul
 
 
 class DecompositionError(RuntimeError):
@@ -83,10 +83,10 @@ def _reduce_vecs(field: FieldSpec, vecs) -> list[list[int]]:
 
 def _trace_form(field: FieldSpec, J: list[FFMatrix]) -> FFMatrix:
     """The matrix with entry (b, u) = e_1(u b) = tr(u b) = sum_ij u_ij b_ji,
-    for u and b running over J, without forming the products u b."""
+    for u and b running over J: one product of the flattened b^T and u."""
     U = np.array([u.data.ravel() for u in J])
-    rows = [field.sum(field.mul_table[U, b.data.T.ravel()], axis=1) for b in J]
-    return FFMatrix(field, np.array(rows, dtype=_CODE_DTYPE))
+    B = np.array([b.data.T.ravel() for b in J])
+    return FFMatrix(field, _matmul(field, B, U.T))
 
 
 def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:

@@ -390,6 +390,30 @@ def test_mackey_cli(group_files, capsys, tmp_path):
     assert data["ok"] and data["left_dim"] == data["right_dim"] == 6
 
 
+@pytest.mark.parametrize("entry", [3.5, -1, 70000])
+def test_induce_rejects_module_entries_outside_the_field(group_files, capsys, tmp_path, entry):
+    """Module entries must be field codes.  3.5 used to be truncated to the
+    valid code 3, and 70000 surfaced numpy's int16 overflow message."""
+    module = {
+        "field": {"p": 2, "m": 2, "modulus": [1, 1, 1]},
+        "group": json.loads(open(group_files["C3"]).read()),
+        "dim": 1,
+        "generator_matrices": [[3]],  # the generator acts by a cube root of 1
+    }
+    mod_file = tmp_path / "mod.json"
+    argv = ["induce", group_files["C3"], group_files["S3"], "--p", "2",
+            "--module", str(mod_file), "--no-cache"]
+    mod_file.write_text(json.dumps(module))
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    module["generator_matrices"] = [[entry]]
+    mod_file.write_text(json.dumps(module))
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad module file {mod_file}: generator matrix 0: entry {entry!r} is not a field code in range(4)\n"
+
+
 def test_verify_a4_in_s4_all(group_files, capsys, tmp_path, monkeypatch):
     """The flagship pipeline via the CLI: everything passes and the
     invariant-node map is onto the overgroup poset."""

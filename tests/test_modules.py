@@ -499,3 +499,20 @@ def test_decomposing_copies_keeps_one_memo_entry():
     for _ in range(50):
         alg.registry.decompose(RepModule(alg, M.gen_mats))
     assert len(alg.registry._tables["decompose"]) == 1
+
+
+def test_end_basis_solved_once_per_content(monkeypatch):
+    """Splitting and rad End read one content-keyed End table, so a whole
+    poset enumeration solves End of each module content once."""
+    from tautilt import modules
+    from tautilt.engine import TiltingContext, enumerate_poset
+
+    alg = GroupAlgebra(alternating_group(4), field_create(2, 2))
+    keys = []
+    real = modules.end_basis
+    monkeypatch.setattr(
+        modules, "end_basis", lambda X: keys.append(modules._content_key(X)) or real(X)
+    )
+    enumerate_poset(TiltingContext(alg))
+    assert keys
+    assert len(keys) == len(set(keys))
