@@ -108,12 +108,12 @@ class GroupAlgebra:
         return self._left_mult[elt_idx]
 
     def vector_mult_matrix(self, vec) -> FFMatrix:
-        """Left multiplication by an algebra element on the element basis."""
-        out = FFMatrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c:
-                out = out + self.left_mult_matrix(i).scale(c)
-        return out
+        """Left multiplication by a nonzero algebra element on the element
+        basis."""
+        support = [i for i, c in enumerate(vec) if c]
+        return rings.combine(
+            self.field, [vec[i] for i in support], [self.left_mult_matrix(i) for i in support]
+        )
 
     def conjugate_vector(self, vec, x_idx: int) -> list[int]:
         """x * a * x^-1 coefficientwise (coefficients move to conjugated

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import homalg
 from .algebra import Block, GroupAlgebra
+from .ff import FFMatrix
 from .modules import (
     RepModule,
     block_regular_module,
@@ -286,10 +287,7 @@ def _generates(ctx: TiltingContext, source_ids: tuple[int, ...], target_id: int)
             images.extend(reg.hom_basis_ids(s, target_id))
         if not images:
             return target.dim == 0
-        stacked = images[0]
-        for h in images[1:]:
-            stacked = stacked.hstack(h)
-        return stacked.rank() == target.dim
+        return FFMatrix.hstack(*images).rank() == target.dim
 
     return reg.memo("generates", (source_ids, target_id), compute)
 
@@ -583,10 +581,9 @@ class HassePoset:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_poset(
-    ctx: TiltingContext, node_cap: int = 512, require_agreement: bool = True
-) -> HassePoset:
-    """Breadth-first downward mutation closure from the top pair."""
+def enumerate_poset(ctx: TiltingContext, node_cap: int = 512) -> HassePoset:
+    """Breadth-first downward mutation closure from the top pair.  Every
+    node found is certified before the poset is returned."""
     top = STauTiltPair(ctx, tuple(sorted(ctx.pim_ids())), ())
     if not certify_support_tau_tilting(top).valid:
         raise EngineError("the regular pair failed certification")
@@ -611,11 +608,9 @@ def enumerate_poset(
                     nxt.append(down)
         frontier = nxt
     pairs = list(seen.values())
-    if require_agreement:
-        for p in pairs:
-            cert = certify_support_tau_tilting(p)
-            if not cert.valid:
-                raise EngineError(f"enumerated node fails certification: {p!r}")
+    for p in pairs:
+        if not certify_support_tau_tilting(p).valid:
+            raise EngineError(f"enumerated node fails certification: {p!r}")
     return HassePoset(ctx, pairs, edges)
 
 

@@ -57,25 +57,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply coefficient tuples mod (p, modulus).  Little-endian coeffs."""
-    m = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    # reduce degrees >= m using x^m = -(modulus[:-1])
-    for d in range(len(out) - 1, m - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for j in range(m):
-                out[d - m + j] = (out[d - m + j] - c * modulus[j]) % p
-    out = out[:m] + [0] * max(0, m - len(out))
-    return tuple(out[:m])
-
-
 class FieldSpec:
     """The field GF(p^m) with a fixed monic irreducible modulus over GF(p).
 
@@ -112,50 +93,49 @@ class FieldSpec:
         self._build_tables()
 
     def _build_tables(self):
+        """Every table from array operations: sums add base-p digits mod p,
+        products add the logarithms to the base of the least primitive
+        code (the first whose powers walk through all q - 1 units)."""
         p, m, q = self.p, self.m, self.q
-        mod = self.modulus
-
-        def decode(code):
-            c = []
-            for _ in range(m):
-                c.append(code % p)
-                code //= p
-            return tuple(c)
-
-        def encode(coeffs):
-            code = 0
-            for c in reversed(coeffs):
-                code = code * p + (c % p)
-            return code
-
-        add = np.zeros((q, q), dtype=_CODE_DTYPE)
-        mul = np.zeros((q, q), dtype=_CODE_DTYPE)
-        neg = np.zeros(q, dtype=_CODE_DTYPE)
-        coeffs = [decode(i) for i in range(q)]
-        for a in range(q):
-            ca = coeffs[a]
-            neg[a] = encode(tuple((-c) % p for c in ca))
-            for b in range(a, q):
-                cb = coeffs[b]
-                s = encode(tuple((x + y) % p for x, y in zip(ca, cb)))
-                add[a, b] = add[b, a] = s
-                pr = encode(_poly_mul_mod(ca, cb, mod, p))
-                mul[a, b] = mul[b, a] = pr
-        inv = np.zeros(q, dtype=_CODE_DTYPE)
-        for a in range(1, q):
-            hits = np.nonzero(mul[a] == 1)[0]
-            if hits.size == 0:
-                raise FFError("modulus is not irreducible: element without inverse")
-            inv[a] = hits[0]
-        frob = np.zeros(q, dtype=_CODE_DTYPE)
-        for a in range(q):
-            acc = a
-            for _ in range(self.p - 1):
-                acc = int(mul[acc, a])
-            frob[a] = acc
-        digits = np.array(coeffs, dtype=np.float64)  # (q, m)
+        if not _poly_is_irreducible_gfp(self.modulus, p):
+            raise FFError("modulus is not irreducible: element without inverse")
         places = p ** np.arange(m, dtype=np.int64)
-        planes = digits.T.copy()
+        digits = np.arange(q)[:, None] // places % p  # (q, m): digits[a, i] = c_i of a
+        # xpow[j, a] = digits of a x^j.  Times x shifts the digits up and
+        # folds the top one back through x^m = -(modulus[:m]).
+        low = np.array(self.modulus[:m], dtype=np.int64)
+        xpow = [digits]
+        for _ in range(m - 1):
+            d = xpow[-1]
+            xpow.append((np.hstack([np.zeros_like(d[:, :1]), d[:, :-1]]) - d[:, -1:] * low) % p)
+        xpow = np.array(xpow)
+        for g in range(1, q):
+            times_g = (np.tensordot(digits[g], xpow, 1) % p @ places).tolist()
+            exp = [1]
+            while len(exp) < q - 1 and times_g[exp[-1]] != 1:
+                exp.append(times_g[exp[-1]])
+            if len(exp) == q - 1:
+                break
+        exp = np.array(exp + exp, dtype=_CODE_DTYPE)  # exp[k] = g^k, k < 2(q - 1)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=_CODE_DTYPE)
+        for a in range(1, q):  # row by row: the q x q index array would be int64
+            mul[a, 1:] = exp[log[a] + log[1:]]
+        inv = np.zeros(q, dtype=_CODE_DTYPE)
+        inv[1:] = exp[q - 1 - log[1:]]
+        frob = np.zeros(q, dtype=_CODE_DTYPE)
+        frob[1:] = exp[p * log[1:] % (q - 1)]
+        neg = (-digits % p @ places).astype(_CODE_DTYPE)
+        add = np.zeros((q, q), dtype=_CODE_DTYPE)
+        for i in range(m):
+            d = digits[:, i].astype(_CODE_DTYPE)
+            digit_sum = d[:, None] + d[None, :]
+            digit_sum %= p
+            digit_sum *= int(places[i])
+            add += digit_sum
+        digits = digits.astype(np.float64)
+        planes = np.ascontiguousarray(digits.T)
         fold = digits[mul[places[:, None], places[None, :]]].reshape(m * m, m)
         for t in (add, mul, neg, inv, frob, planes, fold, places):
             t.flags.writeable = False
@@ -422,11 +402,13 @@ class FFMatrix:
         out = out.reshape(self.rows * other.rows, self.cols * other.cols)
         return FFMatrix._trusted(f, out)
 
-    def hstack(self, other: "FFMatrix") -> "FFMatrix":
-        return FFMatrix._trusted(self.field, np.hstack([self.data, other.data]))
+    def hstack(self, *others: "FFMatrix") -> "FFMatrix":
+        """Self and the others side by side, copied once."""
+        return FFMatrix._trusted(self.field, np.hstack([self.data, *(o.data for o in others)]))
 
-    def vstack(self, other: "FFMatrix") -> "FFMatrix":
-        return FFMatrix._trusted(self.field, np.vstack([self.data, other.data]))
+    def vstack(self, *others: "FFMatrix") -> "FFMatrix":
+        """Self above the others, copied once."""
+        return FFMatrix._trusted(self.field, np.vstack([self.data, *(o.data for o in others)]))
 
     def take_columns(self, col_idx) -> "FFMatrix":
         return FFMatrix._trusted(self.field, self.data[:, list(col_idx)])
@@ -790,10 +772,7 @@ def solve_intertwiner_system(
     if not blocks:
         ns = FFMatrix.identity(field, r * c)
     else:
-        stacked = blocks[0]
-        for b in blocks[1:]:
-            stacked = stacked.vstack(b)
-        ns = stacked.nullspace()
+        ns = FFMatrix.vstack(*blocks).nullspace()
     return [FFMatrix._trusted(field, ns.data[:, j].reshape(r, c)) for j in range(ns.cols)]
 
 

@@ -51,7 +51,6 @@ class InductionContext:
         emb: SubgroupEmbedding,
         source_algebra: GroupAlgebra,
         target_algebra: GroupAlgebra,
-        block_filter: Block | None = None,
         require_normal: bool = True,
     ):
         if source_algebra.group is not emb.sub or target_algebra.group is not emb.amb:
@@ -63,7 +62,6 @@ class InductionContext:
         self.emb = emb
         self.source = source_algebra
         self.target = target_algebra
-        self.block_filter = block_filter
         self._coset_actions: dict[int, list[tuple[int, int]]] = {}
 
     def _coset_action(self, amb_idx: int) -> list[tuple[int, int]]:
@@ -96,10 +94,7 @@ def induce(ctx: InductionContext, M: RepModule) -> RepModule:
                 h
             ).data
         mats.append(FFMatrix(field, big))
-    out = RepModule(ctx.target, mats, label=f"Ind({M.label})" if M.label else "")
-    if ctx.block_filter is not None:
-        out, _ = block_component(out, ctx.block_filter)
-    return out
+    return RepModule(ctx.target, mats, label=f"Ind({M.label})" if M.label else "")
 
 
 def restrict(ctx: InductionContext, N: RepModule) -> RepModule:

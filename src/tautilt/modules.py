@@ -65,12 +65,11 @@ class RepModule:
         return acc
 
     def apply_algebra_vector(self, vec) -> FFMatrix:
-        """Action matrix of an algebra element (coefficient vector)."""
-        out = FFMatrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c:
-                out = out + self.action_of(i).scale(c)
-        return out
+        """Action matrix of a nonzero algebra element (coefficient vector)."""
+        support = [i for i, c in enumerate(vec) if c]
+        return rings.combine(
+            self.field, [vec[i] for i in support], [self.action_of(i) for i in support]
+        )
 
     def verify_action(self):
         """Check the matrices define a representation: compatible with every
@@ -138,12 +137,10 @@ def submodule(M: RepModule, basis: FFMatrix) -> tuple[RepModule, FFMatrix]:
     d = basis.cols
     if d == 0:
         return zero_module(M.algebra), FFMatrix.zeros(M.field, M.dim, 0)
-    mats = []
-    for g in M.gen_mats:
-        sol = basis.solve(g @ basis)
-        if sol is None:
-            raise ModuleError("spanning columns are not invariant under the action")
-        mats.append(sol)
+    sol = basis.solve(FFMatrix.hstack(*[g @ basis for g in M.gen_mats]))
+    if sol is None:
+        raise ModuleError("spanning columns are not invariant under the action")
+    mats = [sol.take_columns(range(k * d, (k + 1) * d)) for k in range(len(M.gen_mats))]
     sub = RepModule(M.algebra, mats)
     return sub, basis
 
@@ -153,13 +150,7 @@ def spanned_submodule(M: RepModule, vectors: FFMatrix) -> tuple[RepModule, FFMat
     generator actions, then reduce to a basis."""
     span = vectors
     while True:
-        new_cols = [span]
-        for g in M.gen_mats:
-            new_cols.append(g @ span)
-        stacked = new_cols[0]
-        for c in new_cols[1:]:
-            stacked = stacked.hstack(c)
-        reduced = stacked.column_space_basis()
+        reduced = span.hstack(*[g @ span for g in M.gen_mats]).column_space_basis()
         if reduced.cols == span.cols:
             return submodule(M, reduced)
         span = reduced
@@ -173,18 +164,13 @@ def quotient_module(M: RepModule, sub_basis: FFMatrix) -> tuple[RepModule, FFMat
     if q_dim == 0:
         return zero_module(M.algebra), FFMatrix.zeros(M.field, 0, M.dim)
     # extend to a full basis with standard vectors, deterministically
-    cols = sub_basis
-    complement = []
-    for k in range(M.dim):
-        if cols.cols == M.dim:
-            break
-        e = FFMatrix.zeros(M.field, M.dim, 1).data.copy()
-        e[k, 0] = 1
-        cand = cols.hstack(FFMatrix(M.field, e))
-        if cand.rank() == cols.cols + 1:
-            cols = cand
-            complement.append(k)
-    T = cols
+    ident = FFMatrix.identity(M.field, M.dim)
+    complement = rings.extend_basis(
+        M.field,
+        [sub_basis.take_columns([j]) for j in range(d)],
+        [ident.take_columns([k]) for k in range(M.dim)],
+    )
+    T = sub_basis.hstack(ident.take_columns(complement))
     T_inv = T.inverse()
     proj = T_inv.take_rows(range(d, M.dim))
     lift = T.take_columns(range(d, M.dim))
@@ -260,26 +246,6 @@ def hom_dim(M: RepModule, N: RepModule) -> int:
     return len(hom_basis(M, N))
 
 
-class HomSpace:
-    """Hom(source, target) with a cached basis of intertwiner matrices."""
-
-    def __init__(self, source: RepModule, target: RepModule):
-        self.source = source
-        self.target = target
-        self.basis = hom_basis(source, target)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def __repr__(self):
-        return f"HomSpace(dim={self.dim})"
-
-
-def hom_space(M: RepModule, N: RepModule) -> HomSpace:
-    return HomSpace(M, N)
-
-
 def end_basis(M: RepModule) -> list[FFMatrix]:
     if M.dim == 0:
         return []
@@ -341,12 +307,7 @@ def is_isomorphic(M: RepModule, N: RepModule):
     W = block_diag(M.field, blocks)
     T_m = dm.change_of_basis()
     # target change of basis, with columns permuted into the matching order
-    cols = []
-    for pos in order:
-        cols.append(dn.parts[pos][1])
-    T_n = cols[0]
-    for c in cols[1:]:
-        T_n = T_n.hstack(c)
+    T_n = FFMatrix.hstack(*[dn.parts[pos][1] for pos in order])
     witness = T_n @ W @ T_m.inverse()
     for gm, gn in zip(M.gen_mats, N.gen_mats):
         if (witness @ gm) != (gn @ witness):
@@ -378,10 +339,7 @@ class Decomposition:
     def change_of_basis(self) -> FFMatrix:
         if not self.parts:
             return FFMatrix.zeros(self.module.field, 0, 0)
-        T = self.parts[0][1]
-        for _, inc in self.parts[1:]:
-            T = T.hstack(inc)
-        return T
+        return FFMatrix.hstack(*[inc for _, inc in self.parts])
 
     def __repr__(self):
         return f"Decomposition({self.multiplicities()})"

@@ -13,6 +13,15 @@ The two workhorses:
   algebra is local or produces a proper idempotent, by coprime splits of
   minimal polynomials, passing to the semisimple quotient when needed, and
   lifting idempotents along the radical by p-th powering.
+
+Every subspace question over the field goes through the span helpers,
+each one elimination or one pass over the terms:
+
+* ``reduce_span``: the canonical basis of a span;
+* ``in_span``: coordinates of targets in a span, or None;
+* ``extend_basis``: which candidates, taken in order, enlarge a span (the
+  pivot columns of one elimination of ``[basis | candidates]``);
+* ``combine``: the linear combination sum c_i M_i.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import polys
-from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, _matmul
+from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, _matmul, stack_columns
 
 
 class DecompositionError(RuntimeError):
@@ -55,12 +64,6 @@ def reduce_span(field: FieldSpec, mats: list[FFMatrix]) -> list[FFMatrix]:
     return [FFMatrix(field, basis.data[i].reshape(shape)) for i in range(basis.rows)]
 
 
-def _as_columns(field: FieldSpec, mats: list[FFMatrix]) -> FFMatrix:
-    """The matrices, each flattened, as the columns of one matrix."""
-    flat = np.array([m.data.ravel() for m in mats], dtype=_CODE_DTYPE)
-    return FFMatrix(field, flat).transpose()
-
-
 def in_span(field: FieldSpec, basis: list[FFMatrix], targets: list[FFMatrix]):
     """Coordinates of the targets in the span of basis, one column per
     target (shape len(basis) x len(targets)), or None if some target lies
@@ -69,7 +72,33 @@ def in_span(field: FieldSpec, basis: list[FFMatrix], targets: list[FFMatrix]):
         return FFMatrix.zeros(field, len(basis), len(targets))
     if not basis:
         return None
-    return _as_columns(field, basis).solve(_as_columns(field, targets))
+    return stack_columns(field, basis).solve(stack_columns(field, targets))
+
+
+def extend_basis(field: FieldSpec, basis: list[FFMatrix], candidates: list[FFMatrix]) -> list[int]:
+    """Positions of the candidates that lie outside the span of ``basis``
+    and of the candidates before them.  A column of ``[basis | candidates]``
+    is a pivot of its reduced echelon form exactly when it is not in the
+    span of the columns before it, so one elimination answers for all."""
+    if not candidates:
+        return []
+    _, pivots = stack_columns(field, list(basis) + list(candidates)).rref()
+    return [c - len(basis) for c in pivots if c >= len(basis)]
+
+
+def combine(field: FieldSpec, coeffs, mats: list[FFMatrix]) -> FFMatrix:
+    """sum c_i M_i for field codes c_i and at least one matrix, all of one
+    shape.  The base-p digits of the scaled terms are summed, exact in
+    float64, then reduced mod p once and encoded: one accumulator, however
+    many terms."""
+    planes, mul = field.digit_planes, field.mul_table
+    acc = np.zeros((field.m, *mats[0].shape))
+    for c, M in zip(coeffs, mats):
+        if c:
+            acc += planes[:, mul[c, M.data]]
+    coords = acc.astype(np.int64)
+    coords %= field.p
+    return FFMatrix._trusted(field, np.tensordot(field.places, coords, 1))
 
 
 def _reduce_vecs(field: FieldSpec, vecs) -> list[list[int]]:
@@ -110,14 +139,10 @@ def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
             rows = [[(u @ b).charpoly_esym(pk) for u in J] for b in J]
             C = FFMatrix(field, np.array(rows, dtype=_CODE_DTYPE))
         sol = C.nullspace()  # columns: s-coordinate solutions
-        newJ = []
-        for j in range(sol.cols):
-            coords = [field.frobenius_inv(int(s), k) for s in sol.data[:, j]]
-            mat = FFMatrix.zeros(field, n, n)
-            for t, u in zip(coords, J):
-                if t:
-                    mat = mat + u.scale(t)
-            newJ.append(mat)
+        newJ = [
+            combine(field, [field.frobenius_inv(int(s), k) for s in sol.data[:, j]], J)
+            for j in range(sol.cols)
+        ]
         J = reduce_span(field, newJ)
         k += 1
         pk *= p
@@ -170,22 +195,15 @@ class QuotientAlgebra:
 
     def __init__(self, field: FieldSpec, alg_basis: list[FFMatrix], rad_basis: list[FFMatrix]):
         self.field = field
-        rad_reduced = reduce_span(field, rad_basis)
-        full = reduce_span(field, rad_reduced + alg_basis)
         # complement representatives: extend the radical basis to the full
         # algebra; quotient coordinates are read off via the combined solve
-        self.rad = rad_reduced
-        lifts = []
-        current = list(rad_reduced)
-        for m in alg_basis:
-            if in_span(field, current, [m]) is None:
-                lifts.append(m)
-                current.append(m)
+        self.rad = reduce_span(field, rad_basis)
+        lifts = [alg_basis[i] for i in extend_basis(field, self.rad, alg_basis)]
         self.lifts = lifts
         self.dim = len(lifts)
-        self._solver_basis = rad_reduced + lifts
-        unit = self._coords([FFMatrix.identity(field, alg_basis[0].rows)])
-        self.unit = [int(c) for c in unit.data.ravel()]
+        self._solver_basis = self.rad + lifts
+        # a column: the quotient coordinates of the identity
+        self.unit = self._coords([FFMatrix.identity(field, alg_basis[0].rows)])
         # left regular representation: columns are coords of lift_i * lift_j
         self._regular = [self._coords([u @ v for v in lifts]) for u in lifts]
 
@@ -198,19 +216,10 @@ class QuotientAlgebra:
         return sol.take_rows(range(len(self.rad), sol.rows))
 
     def regular_matrix(self, coords) -> FFMatrix:
-        out = FFMatrix.zeros(self.field, self.dim, self.dim)
-        for c, R in zip(coords, self._regular):
-            if c:
-                out = out + R.scale(c)
-        return out
+        return combine(self.field, coords, self._regular)
 
     def lift(self, coords) -> FFMatrix:
-        n = self.lifts[0].rows
-        out = FFMatrix.zeros(self.field, n, n)
-        for c, u in zip(coords, self.lifts):
-            if c:
-                out = out + u.scale(c)
-        return out
+        return combine(self.field, coords, self.lifts)
 
 def find_splitting_idempotent(
     field: FieldSpec, end_basis: list[FFMatrix], seed: int = 20240801, max_tries: int = 400
@@ -258,9 +267,10 @@ def find_splitting_idempotent(
             for _ in range(mult - 1):
                 part = polys.mul(field, part, g)
             ecoeffs = polys.crt_idempotent_coeffs(field, mu, part)
-            # evaluate the idempotent polynomial at the element, inside the quotient
-            ebar = _eval_poly_in_quotient(Q, coords, ecoeffs)
-            e0 = Q.lift(ebar)
+            # the idempotent polynomial at the element, inside the quotient:
+            # R is left multiplication by it, and R . unit is the element
+            ebar = R.apply_poly(ecoeffs) @ Q.unit
+            e0 = Q.lift(ebar.entries())
             e = lift_idempotent(field, e0)
             if e.is_zero() or e == ident:
                 raise AssertionError("lifted idempotent degenerated")
@@ -283,20 +293,6 @@ def find_splitting_idempotent(
     raise DecompositionError(
         f"no splitting idempotent found in {max_tries} tries (dim quotient {Q.dim})"
     )
-
-
-def _eval_poly_in_quotient(Q: QuotientAlgebra, coords, poly_coeffs):
-    """Evaluate a polynomial at the quotient element with the given
-    coordinates, returning quotient coordinates of the value."""
-    field = Q.field
-    acc = [0] * Q.dim
-    R = Q.regular_matrix(coords)
-    for c in reversed(list(poly_coeffs)):
-        acc_v = FFMatrix(field, np.array(acc, dtype=_CODE_DTYPE).reshape(-1, 1))
-        acc = [int(x) for x in (R @ acc_v).data.ravel()]
-        if c:
-            acc = [field.add(a, field.mul(c, u)) for a, u in zip(acc, Q.unit)]
-    return acc
 
 
 # -- commutative (center) machinery -----------------------------------------

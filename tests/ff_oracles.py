@@ -1,10 +1,103 @@
-"""Table kernels that ``tautilt.ff`` used before its coefficient-plane
-product: one field-table gather per multiply and per add.  They are slow
-and obviously exact, and serve as the oracles of ``test_ff_kernels.py``."""
+"""Reference implementations that ``tautilt`` replaced with faster or
+shorter code.  They are slow and obviously exact, and serve as oracles:
+
+* the table kernels ``tautilt.ff`` used before its coefficient-plane
+  product, one field-table gather per multiply and per add, and the field
+  table builder that multiplied every pair of polynomials
+  (``test_ff_kernels.py``);
+* the per-candidate span loops that ``rings.extend_basis`` and
+  ``rings.combine`` replaced (``test_rings.py``)."""
 
 import numpy as np
 
-from tautilt.ff import _CODE_DTYPE, FieldSpec
+from tautilt import rings
+from tautilt.ff import _CODE_DTYPE, FFMatrix, FieldSpec
+
+
+def _poly_mul_mod(a, b, modulus, p):
+    """Multiply coefficient tuples mod (p, modulus).  Little-endian coeffs."""
+    m = len(modulus) - 1
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    # reduce degrees >= m using x^m = -(modulus[:-1])
+    for d in range(len(out) - 1, m - 1, -1):
+        c = out[d]
+        if c:
+            out[d] = 0
+            for j in range(m):
+                out[d - m + j] = (out[d - m + j] - c * modulus[j]) % p
+    out = out[:m] + [0] * max(0, m - len(out))
+    return tuple(out[:m])
+
+
+def polynomial_field_tables(p: int, m: int, modulus) -> dict:
+    """The add, mul, neg, inv and frob tables of GF(p^m), one polynomial
+    product per pair of elements; ValueError for a reducible modulus."""
+    q = p**m
+
+    def decode(code):
+        c = []
+        for _ in range(m):
+            c.append(code % p)
+            code //= p
+        return tuple(c)
+
+    def encode(coeffs):
+        code = 0
+        for c in reversed(coeffs):
+            code = code * p + (c % p)
+        return code
+
+    add = np.zeros((q, q), dtype=_CODE_DTYPE)
+    mul = np.zeros((q, q), dtype=_CODE_DTYPE)
+    neg = np.zeros(q, dtype=_CODE_DTYPE)
+    coeffs = [decode(i) for i in range(q)]
+    for a in range(q):
+        ca = coeffs[a]
+        neg[a] = encode(tuple((-c) % p for c in ca))
+        for b in range(a, q):
+            cb = coeffs[b]
+            s = encode(tuple((x + y) % p for x, y in zip(ca, cb)))
+            add[a, b] = add[b, a] = s
+            pr = encode(_poly_mul_mod(ca, cb, modulus, p))
+            mul[a, b] = mul[b, a] = pr
+    inv = np.zeros(q, dtype=_CODE_DTYPE)
+    for a in range(1, q):
+        hits = np.nonzero(mul[a] == 1)[0]
+        if hits.size == 0:
+            raise ValueError("modulus is not irreducible: element without inverse")
+        inv[a] = hits[0]
+    frob = np.zeros(q, dtype=_CODE_DTYPE)
+    for a in range(q):
+        acc = a
+        for _ in range(p - 1):
+            acc = int(mul[acc, a])
+        frob[a] = acc
+    return {"add": add, "mul": mul, "neg": neg, "inv": inv, "frob": frob}
+
+
+def greedy_extend_basis(field: FieldSpec, basis, candidates) -> list[int]:
+    """Positions of the candidates outside the span of basis and of the
+    candidates kept before them: one span solve per candidate."""
+    current = list(basis)
+    kept = []
+    for i, c in enumerate(candidates):
+        if rings.in_span(field, current, [c]) is None:
+            kept.append(i)
+            current.append(c)
+    return kept
+
+
+def scale_add_combine(field: FieldSpec, coeffs, mats) -> FFMatrix:
+    """sum c_i M_i, one scale and one add per nonzero term."""
+    out = FFMatrix.zeros(field, *mats[0].shape)
+    for c, M in zip(coeffs, mats):
+        if c:
+            out = out + M.scale(c)
+    return out
 
 
 def table_matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

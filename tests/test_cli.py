@@ -439,3 +439,19 @@ def test_verify_a4_in_s4_all(group_files, capsys, tmp_path, monkeypatch):
         ["verify", group_files["A4"], group_files["S4"], "--p", "2"],
     )
     assert code2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_sets_one_blas_thread_unless_the_user_chose(preset):
+    """Importing the package, as the CLI does, sets the BLAS thread
+    variables to 1 before numpy loads; a value the user set stays."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(tautilt.__file__).parent.parent)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = f"import os, tautilt; print(*(os.environ[n] for n in {names!r}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True
+    ).stdout
+    assert out.split() == [preset or "1", "1", "1"]

@@ -1,14 +1,16 @@
 """Differential tests: the coefficient-plane matrix product and the
-charpoly built on it, against the table kernels of ``ff_oracles``."""
+charpoly built on it, against the table kernels of ``ff_oracles``; the
+field tables, against the builder that multiplied every pair of
+polynomials."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ff_oracles import table_charpoly, table_matmul
+from ff_oracles import _poly_mul_mod, polynomial_field_tables, table_charpoly, table_matmul
 from tautilt import ff
-from tautilt.ff import FFError, FFMatrix, field_create
+from tautilt.ff import FFError, FFMatrix, FieldSpec, _is_prime, canonical_modulus, field_create
 
 FIELDS = [field_create(p, m) for p, m in ((2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (251, 1))]
 sides = st.integers(0, 60)
@@ -108,3 +110,55 @@ def test_public_constructor_checks_ranges_and_results_are_frozen():
                    A.nullspace(), A.inverse(), A.transpose()):
         assert result.data.dtype == np.int16
         assert not result.data.flags.writeable
+
+
+TABLES = ("add", "mul", "neg", "inv", "frob")
+SMALL_FIELDS = [(p, m) for p in range(2, 730) if _is_prime(p) for m in range(1, 10) if p**m <= 729]
+
+
+@pytest.mark.parametrize("p, m", SMALL_FIELDS, ids=lambda v: str(v))
+def test_field_tables_match_the_definition(p, m):
+    """Every field up to q = 729: a prime field against the integers mod p,
+    an extension field against one polynomial product per pair."""
+    F = field_create(p, m)
+    if m == 1:
+        a = np.arange(p)
+        want = {
+            "add": np.add.outer(a, a) % p,
+            "mul": np.multiply.outer(a, a) % p,
+            "neg": -a % p,
+            "inv": np.array([0] + [pow(int(x), p - 2, p) for x in a[1:]]),
+            "frob": a,
+        }
+    else:
+        want = polynomial_field_tables(p, m, F.modulus)
+    for name in TABLES:
+        assert np.array_equal(getattr(F, f"{name}_table"), want[name]), name
+
+
+def test_reducible_modulus_is_rejected():
+    # x^2 + 1 over GF(2), x^2 - 1 over GF(3), (x^2 + x + 1)^2 without roots
+    for p, modulus in ((2, (1, 0, 1)), (3, (2, 0, 1)), (2, (1, 0, 1, 0, 1))):
+        with pytest.raises(FFError, match="modulus is not irreducible: element without inverse"):
+            FieldSpec(p, len(modulus) - 1, modulus)
+        with pytest.raises(ValueError, match="modulus is not irreducible"):
+            polynomial_field_tables(p, len(modulus) - 1, modulus)
+
+
+def test_largest_table_field_builds():
+    """GF(4096), the table cap: spot products against the polynomial
+    product, and every inverse and p-th power checked through the tables."""
+    modulus = canonical_modulus(2, 12)
+    F = FieldSpec(2, 12, modulus)
+    try:
+        codes = np.arange(4096)
+        digits = [tuple(int(c) >> i & 1 for i in range(12)) for c in range(4096)]
+        rng = np.random.default_rng(7)
+        for a, b in rng.integers(0, 4096, size=(300, 2)):
+            prod = _poly_mul_mod(digits[a], digits[b], modulus, 2)
+            assert F.mul(int(a), int(b)) == sum(c << i for i, c in enumerate(prod))
+            assert F.add(int(a), int(b)) == int(a) ^ int(b)
+        assert np.all(F.mul_table[codes[1:], F.inv_table[1:]] == 1)
+        assert np.array_equal(F.frob_table, F.mul_table[codes, codes])
+    finally:
+        del FieldSpec._cache[(2, 12, modulus)]
