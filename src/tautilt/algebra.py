@@ -104,7 +104,7 @@ class GroupAlgebra:
             mat = np.zeros((self.dim, self.dim), dtype=_CODE_DTYPE)
             for j in range(self.dim):
                 mat[g.mul(elt_idx, j), j] = 1
-            self._left_mult[elt_idx] = FFMatrix(self.field, mat)
+            self._left_mult[elt_idx] = FFMatrix._trusted(self.field, mat)
         return self._left_mult[elt_idx]
 
     def vector_mult_matrix(self, vec) -> FFMatrix:

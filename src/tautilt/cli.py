@@ -405,18 +405,25 @@ def cmd_verify(args, config: SessionConfig) -> int:
     return EXIT_OK if outputs["passed"] else EXIT_VERIFY
 
 
-def cmd_induce(args, config: SessionConfig) -> int:
-    from .functors import InductionContext, induce
-
+def _embedded_module(args, config: SessionConfig, need_normal: bool):
+    """The embedding of ``args.sub`` in ``args.amb``, the algebras of both
+    groups and the module of ``args.module`` over the subgroup's algebra."""
     sub, _ = _load_group(args.sub, config)
     amb, _ = _load_group(args.amb, config)
-    emb = _embedding_or_die(sub, amb, need_normal=False)
+    emb = _embedding_or_die(sub, amb, need_normal=need_normal)
     module_data = _read_json_file(args.module)
     sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
     try:
         M = module_from_json(module_data, algebra=sub_alg)
     except Exception as e:
         raise CliError(f"bad module file {args.module}: {e}", EXIT_PARSE) from e
+    return emb, sub_alg, amb_alg, M
+
+
+def cmd_induce(args, config: SessionConfig) -> int:
+    from .functors import InductionContext, induce
+
+    emb, sub_alg, amb_alg, M = _embedded_module(args, config, need_normal=False)
     ind = induce(InductionContext(emb, sub_alg, amb_alg, require_normal=False), M)
     blob = (
         json.dumps(module_to_json(ind), sort_keys=True, separators=(",", ":")) + "\n"
@@ -431,15 +438,7 @@ def cmd_induce(args, config: SessionConfig) -> int:
 def cmd_mackey(args, config: SessionConfig) -> int:
     from .functors import InductionContext, mackey_decomposition
 
-    sub, _ = _load_group(args.sub, config)
-    amb, _ = _load_group(args.amb, config)
-    emb = _embedding_or_die(sub, amb, need_normal=True)
-    module_data = _read_json_file(args.module)
-    sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
-    try:
-        M = module_from_json(module_data, algebra=sub_alg)
-    except Exception as e:
-        raise CliError(f"bad module file {args.module}: {e}", EXIT_PARSE) from e
+    emb, sub_alg, amb_alg, M = _embedded_module(args, config, need_normal=True)
     witness = mackey_decomposition(
         InductionContext(emb, sub_alg, amb_alg), M
     )

@@ -12,13 +12,6 @@ folds them into the coordinates of sum A_i B_j x^(i+j), and these are reduced
 mod p and encoded.  The table loops this replaced are the test oracles in
 tests/ff_oracles.py.  Results built here skip the range check of FFMatrix().
 
-Row reduction over GF(2^m) of a matrix with at least ``_PACKED_MIN_CELLS``
-cells runs on bit planes instead: plane k packs bit k of every code into
-uint64 words, addition is XOR, and a scalar multiple is a GF(2)-linear map
-of the planes.  Smaller matrices and odd characteristic use the table
-elimination, which also serves as the test oracle.  The reduced echelon
-form is unique, so both paths return the same result.
-
 Everything here is immutable after construction; operations are pure
 functions and safe to share across workers.
 """
@@ -32,14 +25,6 @@ import numpy as np
 
 _CODE_DTYPE = np.int16
 _TABLE_CAP = 4096  # largest q for which we build q*q tables
-# FFMatrix.rref eliminates on bit planes over GF(2^m) from this many cells
-# on.  Measured crossover against the table path (numpy 2.4, one core):
-# about 2-4k cells on random dense matrices over GF(2) and GF(4), 4-8k over
-# GF(8) and GF(16); 16-32k on the sparse Kronecker systems that
-# solve_intertwiner_system builds over GF(2) and GF(4), where the table path
-# touches only the few rows with an entry in the pivot column.
-_PACKED_MIN_CELLS = 16384
-_CONVERT_CELLS = 1 << 16  # bit-plane conversion works on row blocks this big
 
 
 class FFError(ValueError):
@@ -327,11 +312,6 @@ class FFMatrix:
         rows = [list(r) for r in rows]
         return FFMatrix(field, np.array(rows, dtype=_CODE_DTYPE))
 
-    @staticmethod
-    def column(field: FieldSpec, entries: Iterable[int]) -> "FFMatrix":
-        v = np.array(list(entries), dtype=_CODE_DTYPE).reshape(-1, 1)
-        return FFMatrix(field, v)
-
     # -- basics ----------------------------------------------------------
 
     @property
@@ -423,16 +403,38 @@ class FFMatrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["FFMatrix", tuple[int, ...]]:
-        """Reduced row echelon form with deterministic first-nonzero pivoting.
+        """Reduced row echelon form by Gauss-Jordan elimination through the
+        field tables, one pivot at a time over whole rows, taking the first
+        nonzero entry of each column as its pivot.
 
-        Returns (R, pivot_columns).  The reduced echelon form is unique, so
-        both elimination paths return the same R and pivots."""
+        Returns (R, pivot_columns)."""
         f = self.field
-        if f.p == 2 and self.data.size >= _PACKED_MIN_CELLS:
-            R, pivots = _rref_packed(f, self.data)
-        else:
-            R, pivots = _rref_table(f, self.data)
-        return FFMatrix._trusted(f, R), pivots
+        A = self.data.copy()
+        nrows, ncols = A.shape
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            nz = np.nonzero(A[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                A[[r, i]] = A[[i, r]]
+            pv = A[r, c]
+            if pv != 1:
+                A[r] = f.mul_table[f.inv_table[pv], A[r]]
+            rows_nz = np.nonzero(A[:, c])[0]
+            rows_nz = rows_nz[rows_nz != r]
+            if rows_nz.size:
+                factors = f.neg_table[A[rows_nz, c]]
+                A[rows_nz] = f.add_table[
+                    A[rows_nz], f.mul_table[factors[:, None], A[r][None, :]]
+                ]
+            pivots.append(c)
+            r += 1
+        return FFMatrix._trusted(f, A), tuple(pivots)
 
     def rank(self) -> int:
         _, pivots = self.rref()
@@ -612,134 +614,6 @@ def _matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (coords @ f.places).astype(_CODE_DTYPE).reshape(r, c)
 
 
-def _rref_table(f: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Gauss-Jordan elimination through the field tables, one pivot at a
-    time over whole rows.  Any characteristic."""
-    A = data.copy()
-    nrows, ncols = A.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        pv = A[r, c]
-        if pv != 1:
-            A[r] = f.mul_table[f.inv_table[pv], A[r]]
-        rows_nz = np.nonzero(A[:, c])[0]
-        rows_nz = rows_nz[rows_nz != r]
-        if rows_nz.size:
-            factors = f.neg_table[A[rows_nz, c]]
-            A[rows_nz] = f.add_table[
-                A[rows_nz], f.mul_table[factors[:, None], A[r][None, :]]
-            ]
-        pivots.append(c)
-        r += 1
-    return A, tuple(pivots)
-
-
-def _rref_packed(f: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Gauss-Jordan elimination over GF(2^m) on bit planes.
-
-    Plane k holds bit k of every code, i.e. the coefficient of x^k, with
-    column c at bit c % 64 of word c // 64 of its row.  Addition is XOR of
-    planes.  Multiplying a row by a scalar s is the GF(2)-linear map whose
-    m x m bit matrix has column l = s * x^l; a row is updated by the
-    multiples x^j * (pivot row) picked out by the bits j of its factor."""
-    m = f.m
-    nrows, ncols = data.shape
-    planes = _pack_planes(data, m, -(-ncols // 64))
-    xpow = np.array([1 << j for j in range(m)], dtype=np.intp)
-    shifts = np.arange(m, dtype=np.uint64)
-    # scalar_bits[s, k, l]: bit k of s * x^l, the matrix of multiplication by s
-    scalar_bits = f.mul_table[:, xpow].astype(np.uint64)[:, None, :] >> shifts[:, None] & 1
-    division_bits = {}  # pivot value -> scalar_bits of x^j / pivot, j < m
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        w, bit = divmod(c, 64)
-        bit = np.uint64(bit)
-        if not bit:
-            # nonzero[row] has bit b set where the row has an entry in
-            # column 64 w + b; kept up to date for the rows that change.
-            nonzero = np.bitwise_or.reduce(planes[:, :, w], axis=1)
-        nz = (nonzero >> bit & 1).nonzero()[0]
-        first = nz.searchsorted(r)
-        if first == nz.size:
-            continue
-        i = int(nz[first])
-        col = planes[nz, :, w] >> bit & 1  # (len(nz), m) bits of column c
-        pv = sum(int(b) << k for k, b in enumerate(col[first]))
-        if i != r:
-            pivot_row = planes[i].copy()
-            planes[i] = planes[r]
-            planes[r] = pivot_row
-            nonzero[r], nonzero[i] = nonzero[i], nonzero[r]
-        # Columns left of c are zero in the pivot row, so words below w stay.
-        # multiples[j] = (x^j / pv) * (pivot row); multiples[0] is the new row.
-        bitmat = division_bits.get(pv)
-        if bitmat is None:
-            bitmat = division_bits[pv] = scalar_bits[f.mul_table[f.inv_table[pv], xpow]]
-        multiples = np.bitwise_xor.reduce(bitmat[..., None] * planes[r, None, None, :, w:], axis=2)
-        planes[r, :, w:] = multiples[0]
-        # Every other row with an entry in column c.  Rows r and i are not
-        # among them, so the swap leaves their indices and bits valid.
-        others = nz != i
-        rows = nz[others]
-        if rows.size:
-            masks = np.negative(col[others])  # all-ones words where the bit is set
-            block = planes[rows, :, w:]
-            for j in range(m):
-                block ^= masks[:, j, None, None] & multiples[j]
-            planes[rows, :, w:] = block
-            nonzero[rows] = np.bitwise_or.reduce(block[:, :, 0], axis=1)
-        pivots.append(c)
-        r += 1
-    return _unpack_planes(planes, ncols), tuple(pivots)
-
-
-def _row_blocks(nrows: int, ncols: int):
-    """Slices of about _CONVERT_CELLS cells each, covering the rows."""
-    step = max(1, _CONVERT_CELLS // max(ncols, 1))
-    return [slice(start, start + step) for start in range(0, nrows, step)]
-
-
-def _pack_planes(data: np.ndarray, m: int, nwords: int) -> np.ndarray:
-    """The m bit planes of a code array, shape (rows, m, nwords), as
-    little-endian uint64 words.  Converts a block of rows at a time, so its
-    temporaries stay small next to the input."""
-    nrows, ncols = data.shape
-    out = np.zeros((nrows, m, nwords * 8), dtype=np.uint8)
-    for rows in _row_blocks(nrows, ncols):
-        codes = data[rows].copy()
-        for k in range(m):
-            out[rows, k, : -(-ncols // 8)] = np.packbits(codes & 1, axis=1, bitorder="little")
-            codes >>= 1
-    return out.view("<u8")
-
-
-def _unpack_planes(planes: np.ndarray, ncols: int) -> np.ndarray:
-    """Inverse of ``_pack_planes``: the code array of the first ncols
-    columns, assembled in place block by block."""
-    nrows, m, _ = planes.shape
-    raw = planes.view(np.uint8)
-    out = np.empty((nrows, ncols), dtype=_CODE_DTYPE)
-    for rows in _row_blocks(nrows, ncols):
-        block = out[rows]
-        block[...] = np.unpackbits(raw[rows, m - 1], axis=1, count=ncols, bitorder="little")
-        for k in reversed(range(m - 1)):
-            block <<= 1
-            block |= np.unpackbits(raw[rows, k], axis=1, count=ncols, bitorder="little")
-    return out
-
-
 def rank_and_nullspace(A: FFMatrix) -> tuple[int, FFMatrix]:
     """Rank and a nullspace basis (columns).  rank + nullity == cols."""
     ns = A.nullspace()
@@ -754,10 +628,22 @@ def solve_intertwiner_system(
     """Basis of {X (r x c) : X @ L_i == R_i @ X for all i}.
 
     Each constraint pair is (L_i, R_i) with L_i square of size c and R_i
-    square of size r.  Solved by vectorization and one nullspace call; an
-    empty constraint list yields the full r*c-dimensional space."""
+    square of size r.  Solved by spinning, as for the standard bases of the
+    MeatAxe: a basis W of F^c grows from standard-vector seeds, each level
+    taking the L_i w of the last level that leave the span (one elimination
+    per level); once the span is closed under the L_i, the first standard
+    vector outside it is the next seed.  As X L_i w = R_i X w, X is fixed by
+    its images of the s seeds, the only s*r unknowns; where L_i w was not
+    taken into W, that relation is an equation.  One nullspace of the
+    equations, mapped back through W^-1, is the space of solutions.
+
+    The basis returned depends only on that space: its reduced echelon form
+    with the coordinates of row-major vec(X) read from the last one
+    backwards.  So each X has a 1 in its own free coordinate and 0 in the
+    others, in ascending order of that coordinate: the nullspace basis of
+    the Kronecker system (I kron L_i^T - R_i kron I) vec(X) = 0.  An empty
+    constraint list yields the full r*c-dimensional space."""
     r, c = dims
-    blocks = []
     for L, R in constraints:
         if L.rows != c or L.cols != c or R.rows != r or R.cols != r:
             raise FFError(
@@ -765,15 +651,75 @@ def solve_intertwiner_system(
             )
         if L.field is not field or R.field is not field:
             raise FFError("field mismatch among constraints")
-        I_r = FFMatrix.identity(field, r)
-        I_c = FFMatrix.identity(field, c)
-        # row-major vec: vec(X @ L) = (I_r kron L^T) vec(X); vec(R @ X) = (R kron I_c) vec(X)
-        blocks.append(I_r.kron(L.transpose()) - R.kron(I_c))
-    if not blocks:
-        ns = FFMatrix.identity(field, r * c)
-    else:
-        ns = FFMatrix.vstack(*blocks).nullspace()
-    return [FFMatrix._trusted(field, ns.data[:, j].reshape(r, c)) for j in range(ns.cols)]
+    if not r or not c:
+        return []
+    f, k = field, len(constraints)
+    if k:
+        Ls = np.vstack([L.data for L, _ in constraints])
+        Rs = np.vstack([R.data for _, R in constraints])
+    W = np.zeros((c, 0), dtype=_CODE_DTYPE)  # the spun basis, one vector per column
+    Winv = np.eye(c, dtype=_CODE_DTYPE)  # W itself when there are no constraints
+    # X W[:, j] = images[j] @ y, for y the image of the seed W[:, j] was spun from
+    images = np.zeros((0, r, r), dtype=_CODE_DTYPE)
+    # X L_i w = lhs[t] @ y = sum_j coords[t, j] X W[:, j] for each L_i w left out of W
+    lhs, coords = images, np.zeros((0, c), dtype=_CODE_DTYPE)
+    # where the vectors of each seed begin in W, and its equations in lhs
+    starts, lhs_starts = [], []
+    level = 0  # W[:, level:] is the newest level, spun from the last seed
+    while True:
+        n = W.shape[1]
+        m = n - level
+        if k and m:
+            # the candidates L_i w and their images R_i X w, i-major, one product each
+            cand = _matmul(f, Ls, W[:, level:]).reshape(k, c, m).transpose(1, 0, 2).reshape(c, k * m)
+            spun = _matmul(f, Rs, images[level:].transpose(1, 0, 2).reshape(r, m * r))
+            spun = spun.reshape(k, r, m, r).transpose(0, 2, 1, 3).reshape(k * m, r, r)
+            # once W is a basis, nothing is taken, and the same elimination inverts W
+            full = [np.eye(c, dtype=_CODE_DTYPE)] if n == c else []
+            R, pivots = FFMatrix._trusted(f, np.hstack([W, cand, *full])).rref()
+            Winv = R.data[:, n + k * m :] if full else Winv
+            taken = np.array(pivots[n:], dtype=np.intp) - n
+            rest = np.ones(k * m, dtype=bool)
+            rest[taken] = False
+            # a candidate left out is a combination of the pivot columns before
+            # it, which are W's first len(pivots) columns from here on
+            left_out = np.zeros((k * m - taken.size, c), dtype=_CODE_DTYPE)
+            left_out[:, : len(pivots)] = R.data[: len(pivots), n : n + k * m][:, rest].T
+            coords = np.vstack([coords, left_out])
+            lhs = np.concatenate([lhs, spun[rest]])
+            images = np.concatenate([images, spun[taken]])
+            W = np.hstack([W, cand[:, taken]])
+            level = n
+        elif n < c:
+            # the span is closed under the L_i: the first standard vector
+            # outside it is a new seed, with r new unknowns
+            new = 0
+            if n:
+                _, pivots = FFMatrix._trusted(f, np.hstack([W, np.eye(c, dtype=_CODE_DTYPE)])).rref()
+                new = pivots[n] - n
+            W = np.hstack([W, np.eye(c, 1, -new, dtype=_CODE_DTYPE)])
+            images = np.concatenate([images, np.eye(r, dtype=_CODE_DTYPE)[None]])
+            starts.append(n)
+            lhs_starts.append(len(lhs))
+        else:
+            break
+    # One product per seed gives the right-hand sides sum_j coords[t, j] X W[:, j]
+    # of the equations, and X = (X W) W^-1: X[a, l] = sum_j (X W)[a, j] Winv[j, l].
+    N, s = len(lhs), len(starts)
+    rows = np.vstack([coords, Winv.T])
+    G = np.zeros((N + c, r, s, r), dtype=_CODE_DTYPE)
+    eqs = np.zeros((N, r, s, r), dtype=_CODE_DTYPE)
+    bounds = zip(starts, starts[1:] + [c], lhs_starts, lhs_starts[1:] + [N])
+    for t, (a, b, lhs_a, lhs_b) in enumerate(bounds):
+        G[:, :, t] = _matmul(f, rows[:, a:b], images[a:b].reshape(-1, r * r)).reshape(N + c, r, r)
+        eqs[lhs_a:lhs_b, :, t] = lhs[lhs_a:lhs_b]
+    eqs = f.add_table[eqs, f.neg_table[G[:N]]].reshape(N * r, s * r)
+    Y = FFMatrix._trusted(f, eqs).nullspace().data
+    if not Y.shape[1]:
+        return []
+    vec_X = G[N:].transpose(1, 0, 2, 3).reshape(r * c, s * r)
+    R, _ = FFMatrix._trusted(f, _matmul(f, vec_X, Y).T[:, ::-1]).rref()
+    return [FFMatrix._trusted(f, row[::-1].reshape(r, c)) for row in R.data[::-1]]
 
 
 def stack_columns(field: FieldSpec, mats: Sequence[FFMatrix]) -> FFMatrix:

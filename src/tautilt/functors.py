@@ -93,7 +93,7 @@ def induce(ctx: InductionContext, M: RepModule) -> RepModule:
             big[sigma_i * d : (sigma_i + 1) * d, i * d : (i + 1) * d] = M.action_of(
                 h
             ).data
-        mats.append(FFMatrix(field, big))
+        mats.append(FFMatrix._trusted(field, big))
     return RepModule(ctx.target, mats, label=f"Ind({M.label})" if M.label else "")
 
 
@@ -473,7 +473,7 @@ def tensor_with_regular(
             perm = np.zeros((n, n), dtype=_CODE_DTYPE)
             for i, (sigma_i, h) in enumerate(action):
                 perm[sigma_i, i] = 1
-            mats.append(FFMatrix(field, perm).kron(FFMatrix.identity(field, M.dim)))
+            mats.append(FFMatrix._trusted(field, perm).kron(FFMatrix.identity(field, M.dim)))
         else:
             mats.append(
                 FFMatrix.identity(field, n).kron(M.gen_mats[first_pos])

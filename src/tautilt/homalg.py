@@ -180,7 +180,7 @@ def _right_mult_matrix(algebra, elt_idx: int) -> FFMatrix:
     mat = np.zeros((algebra.dim, algebra.dim), dtype=_CODE_DTYPE)
     for j in range(algebra.dim):
         mat[g.mul(j, elt_idx), j] = 1
-    return FFMatrix(algebra.field, mat)
+    return FFMatrix._trusted(algebra.field, mat)
 
 
 def nu_of_projective(P: RepModule) -> tuple[RepModule, list[FFMatrix]]:

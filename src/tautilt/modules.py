@@ -219,7 +219,7 @@ def hom_basis(M: RepModule, N: RepModule) -> list[FFMatrix]:
             for h in hom_basis(part, N):
                 lifted = np.zeros((N.dim, M.dim), dtype=_CODE_DTYPE)
                 lifted[:, offset : offset + part.dim] = h.data
-                out.append(FFMatrix(M.field, lifted))
+                out.append(FFMatrix._trusted(M.field, lifted))
         return out
     if M.lambda_inclusion is not None:
         return rings.reduce_span(M.field, _hom_from_regular_summand(M, N))
@@ -238,7 +238,7 @@ def _hom_from_regular_summand(M: RepModule, N: RepModule) -> list[FFMatrix]:
         cols = np.zeros((N.dim, order), dtype=_CODE_DTYPE)
         for g in range(order):
             cols[:, g] = N.action_of(g).data[:, j]
-        out.append(FFMatrix(N.field, cols) @ iota)
+        out.append(FFMatrix._trusted(N.field, cols) @ iota)
     return out
 
 
@@ -442,7 +442,7 @@ class ModuleRegistry:
                 for p, offset in M.sum_parts:
                     inc = np.zeros((M.dim, p.dim), dtype=_CODE_DTYPE)
                     inc[offset : offset + p.dim, :] = np.eye(p.dim, dtype=_CODE_DTYPE)
-                    parts.append((p, FFMatrix(M.field, inc)))
+                    parts.append((p, FFMatrix._trusted(M.field, inc)))
                     ids.append(p._registry_id)
                 order = sorted(
                     range(len(parts)), key=lambda i: (parts[i][0].dim, ids[i])

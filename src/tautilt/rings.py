@@ -59,9 +59,9 @@ def reduce_span(field: FieldSpec, mats: list[FFMatrix]) -> list[FFMatrix]:
     if not mats:
         return []
     shape = mats[0].shape
-    stacked = FFMatrix(field, np.array([m.data.ravel() for m in mats], dtype=_CODE_DTYPE))
+    stacked = FFMatrix._trusted(field, np.array([m.data.ravel() for m in mats]))
     basis = stacked.row_space_basis()
-    return [FFMatrix(field, basis.data[i].reshape(shape)) for i in range(basis.rows)]
+    return [FFMatrix._trusted(field, row.reshape(shape)) for row in basis.data]
 
 
 def in_span(field: FieldSpec, basis: list[FFMatrix], targets: list[FFMatrix]):
@@ -101,21 +101,12 @@ def combine(field: FieldSpec, coeffs, mats: list[FFMatrix]) -> FFMatrix:
     return FFMatrix._trusted(field, np.tensordot(field.places, coords, 1))
 
 
-def _reduce_vecs(field: FieldSpec, vecs) -> list[list[int]]:
-    """Canonical basis (reduced row echelon rows) of the span of vectors."""
-    vecs = [list(v) for v in vecs if any(v)]
-    if not vecs:
-        return []
-    M = FFMatrix(field, np.array(vecs, dtype=_CODE_DTYPE))
-    return [list(r) for r in M.row_space_basis().data.tolist()]
-
-
 def _trace_form(field: FieldSpec, J: list[FFMatrix]) -> FFMatrix:
     """The matrix with entry (b, u) = e_1(u b) = tr(u b) = sum_ij u_ij b_ji,
     for u and b running over J: one product of the flattened b^T and u."""
     U = np.array([u.data.ravel() for u in J])
     B = np.array([b.data.T.ravel() for b in J])
-    return FFMatrix(field, _matmul(field, B, U.T))
+    return FFMatrix._trusted(field, _matmul(field, B, U.T))
 
 
 def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
@@ -137,7 +128,7 @@ def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
             C = _trace_form(field, J)
         else:
             rows = [[(u @ b).charpoly_esym(pk) for u in J] for b in J]
-            C = FFMatrix(field, np.array(rows, dtype=_CODE_DTYPE))
+            C = FFMatrix._trusted(field, np.array(rows))
         sol = C.nullspace()  # columns: s-coordinate solutions
         newJ = [
             combine(field, [field.frobenius_inv(int(s), k) for s in sol.data[:, j]], J)
@@ -169,19 +160,27 @@ def lift_idempotent(field: FieldSpec, e0: FFMatrix) -> FFMatrix:
     return e
 
 
-def _coprime_split_idempotent(x: FFMatrix):
-    """A proper idempotent polynomial in x, if its minimal polynomial has
-    at least two distinct irreducible factors; None otherwise."""
-    F = x.field
-    mu = x.minimal_polynomial()
-    facs = polys.factor(F, mu)
+def _idempotent_coeffs(field: FieldSpec, mu) -> tuple[int, ...] | None:
+    """For a minimal polynomial mu = g^mult * rest, g its first irreducible
+    factor: e with e = 0 mod g^mult and e = 1 mod rest, so e(x) is a proper
+    idempotent for x of minimal polynomial mu; None if rest = 1."""
+    facs = polys.factor(field, mu)
     if len(facs) < 2:
         return None
     g, mult = facs[0]
     part = g
     for _ in range(mult - 1):
-        part = polys.mul(F, part, g)
-    ecoeffs = polys.crt_idempotent_coeffs(F, mu, part)
+        part = polys.mul(field, part, g)
+    return polys.crt_idempotent_coeffs(field, mu, part)
+
+
+def _coprime_split_idempotent(x: FFMatrix):
+    """A proper idempotent polynomial in x, if its minimal polynomial has
+    at least two distinct irreducible factors; None otherwise."""
+    F = x.field
+    ecoeffs = _idempotent_coeffs(F, x.minimal_polynomial())
+    if ecoeffs is None:
+        return None
     e = x.apply_poly(ecoeffs)
     n = x.rows
     if e.is_zero() or e == FFMatrix.identity(F, n):
@@ -260,13 +259,8 @@ def find_splitting_idempotent(
     def try_coords(coords):
         R = Q.regular_matrix(coords)
         mu = R.minimal_polynomial()
-        facs = polys.factor(field, mu)
-        if len(facs) >= 2:
-            g, mult = facs[0]
-            part = g
-            for _ in range(mult - 1):
-                part = polys.mul(field, part, g)
-            ecoeffs = polys.crt_idempotent_coeffs(field, mu, part)
+        ecoeffs = _idempotent_coeffs(field, mu)
+        if ecoeffs is not None:
             # the idempotent polynomial at the element, inside the quotient:
             # R is left multiplication by it, and R . unit is the element
             ebar = R.apply_poly(ecoeffs) @ Q.unit
@@ -275,8 +269,9 @@ def find_splitting_idempotent(
             if e.is_zero() or e == ident:
                 raise AssertionError("lifted idempotent degenerated")
             return e
-        if facs[0][1] == 1 and polys.degree(facs[0][0]) == Q.dim:
-            # the quotient is a field strictly bigger than the ground field
+        # mu is a power of one irreducible; in the semisimple quotient its
+        # degree is dim Q only if the quotient is a field and mu irreducible
+        if polys.degree(mu) == Q.dim:
             raise FieldNotSplittingError(
                 f"endomorphism residue field has degree {Q.dim} over the ground field"
             )
@@ -298,6 +293,11 @@ def find_splitting_idempotent(
 # -- commutative (center) machinery -----------------------------------------
 
 
+def _row(field: FieldSpec, v) -> FFMatrix:
+    """The vector v of codes as a 1 x n matrix."""
+    return FFMatrix._trusted(field, np.array([v]))
+
+
 def frobenius_stable_part(field: FieldSpec, vectors, mul_vec):
     """Basis of the maximal separable (etale) subalgebra of a commutative
     algebra: the stable image of the p-th power map.  ``mul_vec`` multiplies
@@ -309,12 +309,12 @@ def frobenius_stable_part(field: FieldSpec, vectors, mul_vec):
             out = mul_vec(out, v)
         return out
 
-    basis = _reduce_vecs(field, vectors)
+    basis = reduce_span(field, [_row(field, v) for v in vectors])
     while True:
-        powered = _reduce_vecs(field, [pth_power(v) for v in basis])
+        powered = reduce_span(field, [_row(field, pth_power(v.entries())) for v in basis])
         if len(powered) == len(basis):
             # the p-power map is now bijective on the span, hence stable
-            return powered
+            return [v.entries() for v in powered]
         basis = powered
 
 
@@ -327,9 +327,7 @@ def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
 
     def mult_matrix(v, sub_basis):
         sol = in_span(
-            field,
-            [FFMatrix.column(field, b) for b in sub_basis],
-            [FFMatrix.column(field, mul_vec(v, b)) for b in sub_basis],
+            field, sub_basis, [_row(field, mul_vec(v.entries(), b.entries())) for b in sub_basis]
         )
         if sol is None:
             raise AssertionError("multiplication left the subalgebra")
@@ -347,22 +345,18 @@ def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
         if len(sub_basis) == 1:
             return [local_unit]
         for b in sub_basis:
-            R = mult_matrix(b, sub_basis)
-            mu = R.minimal_polynomial()
-            facs = polys.factor(field, mu)
-            if len(facs) < 2:
+            ecoeffs = _idempotent_coeffs(field, mult_matrix(b, sub_basis).minimal_polynomial())
+            if ecoeffs is None:
                 continue
-            g, _ = facs[0]
-            ecoeffs = polys.crt_idempotent_coeffs(field, mu, g)
-            e = eval_poly(ecoeffs, b, local_unit)
+            e = eval_poly(ecoeffs, b.entries(), local_unit)
             if not any(e):
                 continue
             rest = [field.sub(u, x) for u, x in zip(local_unit, e)]
-            left = _reduce_vecs(field, [mul_vec(e, v) for v in sub_basis])
-            right = _reduce_vecs(field, [mul_vec(rest, v) for v in sub_basis])
+            left = reduce_span(field, [_row(field, mul_vec(e, v.entries())) for v in sub_basis])
+            right = reduce_span(field, [_row(field, mul_vec(rest, v.entries())) for v in sub_basis])
             return split(e, left) + split(rest, right)
         raise FieldNotSplittingError(
             "commutative algebra does not split over the ground field"
         )
 
-    return split(list(unit), _reduce_vecs(field, basis))
+    return split(list(unit), reduce_span(field, [_row(field, v) for v in basis]))

@@ -6,7 +6,10 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   table builder that multiplied every pair of polynomials
   (``test_ff_kernels.py``);
 * the per-candidate span loops that ``rings.extend_basis`` and
-  ``rings.combine`` replaced (``test_rings.py``)."""
+  ``rings.combine`` replaced (``test_rings.py``);
+* the Kronecker intertwiner solver that spinning replaced, and the
+  bit-sliced GF(2^m) elimination that ran its large systems
+  (``test_ff_packed.py``)."""
 
 import numpy as np
 
@@ -158,3 +161,120 @@ def table_charpoly(f: FieldSpec, data: np.ndarray) -> tuple[int, ...]:
                 cur[: len(contrib)] = addt[cur[: len(contrib)], contrib]
         polys.append(cur)
     return tuple(int(c) for c in polys[n])
+
+
+def kronecker_intertwiners(field: FieldSpec, constraints, dims) -> list[FFMatrix]:
+    """Basis of {X : X L_i = R_i X} as the nullspace of the vectorized
+    system: (I_r kron L_i^T - R_i kron I_c) vec(X) = 0 for row-major vec,
+    one (k r c) x (r c) elimination; free coordinates in ascending order."""
+    r, c = dims
+    blocks = []
+    for L, R in constraints:
+        I_r = FFMatrix.identity(field, r)
+        I_c = FFMatrix.identity(field, c)
+        blocks.append(I_r.kron(L.transpose()) - R.kron(I_c))
+    if not blocks:
+        ns = FFMatrix.identity(field, r * c)
+    else:
+        ns = FFMatrix.vstack(*blocks).nullspace()
+    return [FFMatrix._trusted(field, ns.data[:, j].reshape(r, c)) for j in range(ns.cols)]
+
+
+CONVERT_CELLS = 1 << 16  # bit-plane conversion works on row blocks this big
+
+
+def rref_packed(f: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination over GF(2^m) on bit planes.
+
+    Plane k holds bit k of every code, i.e. the coefficient of x^k, with
+    column c at bit c % 64 of word c // 64 of its row.  Addition is XOR of
+    planes.  Multiplying a row by a scalar s is the GF(2)-linear map whose
+    m x m bit matrix has column l = s * x^l; a row is updated by the
+    multiples x^j * (pivot row) picked out by the bits j of its factor."""
+    m = f.m
+    nrows, ncols = data.shape
+    planes = pack_planes(data, m, -(-ncols // 64))
+    xpow = np.array([1 << j for j in range(m)], dtype=np.intp)
+    shifts = np.arange(m, dtype=np.uint64)
+    # scalar_bits[s, k, l]: bit k of s * x^l, the matrix of multiplication by s
+    scalar_bits = f.mul_table[:, xpow].astype(np.uint64)[:, None, :] >> shifts[:, None] & 1
+    division_bits = {}  # pivot value -> scalar_bits of x^j / pivot, j < m
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        w, bit = divmod(c, 64)
+        bit = np.uint64(bit)
+        if not bit:
+            # nonzero[row] has bit b set where the row has an entry in
+            # column 64 w + b; kept up to date for the rows that change.
+            nonzero = np.bitwise_or.reduce(planes[:, :, w], axis=1)
+        nz = (nonzero >> bit & 1).nonzero()[0]
+        first = nz.searchsorted(r)
+        if first == nz.size:
+            continue
+        i = int(nz[first])
+        col = planes[nz, :, w] >> bit & 1  # (len(nz), m) bits of column c
+        pv = sum(int(b) << k for k, b in enumerate(col[first]))
+        if i != r:
+            pivot_row = planes[i].copy()
+            planes[i] = planes[r]
+            planes[r] = pivot_row
+            nonzero[r], nonzero[i] = nonzero[i], nonzero[r]
+        # Columns left of c are zero in the pivot row, so words below w stay.
+        # multiples[j] = (x^j / pv) * (pivot row); multiples[0] is the new row.
+        bitmat = division_bits.get(pv)
+        if bitmat is None:
+            bitmat = division_bits[pv] = scalar_bits[f.mul_table[f.inv_table[pv], xpow]]
+        multiples = np.bitwise_xor.reduce(bitmat[..., None] * planes[r, None, None, :, w:], axis=2)
+        planes[r, :, w:] = multiples[0]
+        # Every other row with an entry in column c.  Rows r and i are not
+        # among them, so the swap leaves their indices and bits valid.
+        others = nz != i
+        rows = nz[others]
+        if rows.size:
+            masks = np.negative(col[others])  # all-ones words where the bit is set
+            block = planes[rows, :, w:]
+            for j in range(m):
+                block ^= masks[:, j, None, None] & multiples[j]
+            planes[rows, :, w:] = block
+            nonzero[rows] = np.bitwise_or.reduce(block[:, :, 0], axis=1)
+        pivots.append(c)
+        r += 1
+    return unpack_planes(planes, ncols), tuple(pivots)
+
+
+def row_blocks(nrows: int, ncols: int):
+    """Slices of about CONVERT_CELLS cells each, covering the rows."""
+    step = max(1, CONVERT_CELLS // max(ncols, 1))
+    return [slice(start, start + step) for start in range(0, nrows, step)]
+
+
+def pack_planes(data: np.ndarray, m: int, nwords: int) -> np.ndarray:
+    """The m bit planes of a code array, shape (rows, m, nwords), as
+    little-endian uint64 words.  Converts a block of rows at a time, so its
+    temporaries stay small next to the input."""
+    nrows, ncols = data.shape
+    out = np.zeros((nrows, m, nwords * 8), dtype=np.uint8)
+    for rows in row_blocks(nrows, ncols):
+        codes = data[rows].copy()
+        for k in range(m):
+            out[rows, k, : -(-ncols // 8)] = np.packbits(codes & 1, axis=1, bitorder="little")
+            codes >>= 1
+    return out.view("<u8")
+
+
+def unpack_planes(planes: np.ndarray, ncols: int) -> np.ndarray:
+    """Inverse of ``pack_planes``: the code array of the first ncols
+    columns, assembled in place block by block."""
+    nrows, m, _ = planes.shape
+    raw = planes.view(np.uint8)
+    out = np.empty((nrows, ncols), dtype=_CODE_DTYPE)
+    for rows in row_blocks(nrows, ncols):
+        block = out[rows]
+        block[...] = np.unpackbits(raw[rows, m - 1], axis=1, count=ncols, bitorder="little")
+        for k in reversed(range(m - 1)):
+            block <<= 1
+            block |= np.unpackbits(raw[rows, k], axis=1, count=ncols, bitorder="little")
+    return out

@@ -1,18 +1,19 @@
-"""Differential tests: bit-sliced elimination over GF(2^m) against the
-table elimination, which serves as the oracle."""
+"""Differential tests: the table elimination of FFMatrix.rref against the
+bit-sliced GF(2^m) elimination of ``ff_oracles``, which serves as the
+oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautilt import ff
+from ff_oracles import rref_packed
 from tautilt.ff import FFError, FFMatrix, field_create
 
 FIELDS = [field_create(2, m) for m in (1, 2, 3, 4)]
 
-# Shapes up to 150 x 150 reach both sides of the crossover and column
-# counts on either side of the 64-bit word boundaries.
+# Shapes up to 150 x 150, with column counts on either side of the 64-bit
+# word boundaries of the oracle.
 shapes = st.tuples(st.integers(0, 150), st.integers(0, 150))
 
 
@@ -30,17 +31,18 @@ def draw_matrix(field, shape, seed, rank=None):
     return FFMatrix(field, data)
 
 
+def packed_rref(self):
+    R, pivots = rref_packed(self.field, self.data)
+    return FFMatrix._trusted(self.field, R), pivots
+
+
 def on_both_paths(compute):
-    """The result of ``compute`` with FFMatrix.rref forced onto the packed
-    path, and with it forced onto the table path."""
-    saved = ff._PACKED_MIN_CELLS
-    results = []
-    try:
-        for threshold in (0, float("inf")):
-            ff._PACKED_MIN_CELLS = threshold
-            results.append(compute())
-    finally:
-        ff._PACKED_MIN_CELLS = saved
+    """The result of ``compute``, and its result with FFMatrix.rref
+    replaced by the packed oracle."""
+    results = [compute()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FFMatrix, "rref", packed_rref)
+        results.append(compute())
     return results
 
 
@@ -48,11 +50,11 @@ def on_both_paths(compute):
 @given(field=st.sampled_from(FIELDS), shape=shapes, seed=st.integers(0, 2**32 - 1))
 def test_rref_matches_table(field, shape, seed):
     A = draw_matrix(field, shape, seed)
-    R_packed, piv_packed = ff._rref_packed(field, A.data)
-    R_table, piv_table = ff._rref_table(field, A.data)
-    assert piv_packed == piv_table
-    assert R_packed.dtype == R_table.dtype
-    assert np.array_equal(R_packed, R_table)
+    R, pivots = A.rref()
+    R_packed, piv_packed = rref_packed(field, A.data)
+    assert pivots == piv_packed
+    assert R.data.dtype == R_packed.dtype
+    assert np.array_equal(R.data, R_packed)
 
 
 @settings(max_examples=25, deadline=None)
@@ -68,11 +70,11 @@ def test_nullspace_and_solve_match_table(field, shape, rank, seed):
     x = FFMatrix(field, rng.integers(0, field.q, size=(A.cols, 2)))
     consistent = A @ x
     arbitrary = FFMatrix(field, rng.integers(0, field.q, size=(A.rows, 2)))
-    packed, table = on_both_paths(
+    table, packed = on_both_paths(
         lambda: (A.nullspace(), A.solve(consistent), A.solve(arbitrary), A.rref())
     )
-    assert packed == table
-    null, sol, _, _ = packed
+    assert table == packed
+    null, sol, _, _ = table
     assert (A @ null).is_zero()
     assert A @ sol == consistent
 
@@ -88,10 +90,10 @@ def test_inverse_matches_table(field, n, seed):
         except FFError:
             return None
 
-    packed, table = on_both_paths(inverse)
-    assert packed == table
-    if packed is not None:
-        assert A @ packed == FFMatrix.identity(field, n)
+    table, packed = on_both_paths(inverse)
+    assert table == packed
+    if table is not None:
+        assert A @ table == FFMatrix.identity(field, n)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -99,23 +101,7 @@ def test_inverse_matches_table(field, n, seed):
 def test_edge_shapes_match_table(field, shape):
     # empty matrices, and rows that end on, just past or just short of a word
     A = draw_matrix(field, shape, seed=sum(shape) + field.m)
-    R_packed, piv_packed = ff._rref_packed(field, A.data)
-    R_table, piv_table = ff._rref_table(field, A.data)
-    assert piv_packed == piv_table
-    assert np.array_equal(R_packed, R_table)
-
-
-def test_rref_dispatch_by_size(monkeypatch):
-    packed_shapes = []
-
-    def spy(field, data):
-        packed_shapes.append(data.shape)
-        return ff._rref_table(field, data)
-
-    monkeypatch.setattr(ff, "_rref_packed", spy)
-    side = int(np.sqrt(ff._PACKED_MIN_CELLS))
-    for field in (field_create(2, 2), field_create(3, 1)):
-        FFMatrix.zeros(field, side - 1, side).rref()
-        FFMatrix.zeros(field, side, side).rref()
-    # only characteristic 2, and only from the crossover on
-    assert packed_shapes == [(side, side)]
+    R, pivots = A.rref()
+    R_packed, piv_packed = rref_packed(field, A.data)
+    assert pivots == piv_packed
+    assert np.array_equal(R.data, R_packed)
