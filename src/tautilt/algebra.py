@@ -83,27 +83,25 @@ class GroupAlgebra:
         return v
 
     def mul_vec(self, a, b) -> list[int]:
+        """The product of two coefficient vectors.  The base-p digits of
+        every product a_i b_j of nonzero coefficients are summed at the
+        index of g_i g_j, exact in float64, then reduced mod p once and
+        encoded."""
         F = self.field
-        g = self.group
-        out = self.zero()
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if not cb:
-                    continue
-                k = g.mul(i, j)
-                out[k] = F.add(out[k], F.mul(ca, cb))
-        return out
+        a, b = np.asarray(a), np.asarray(b)
+        i, j = a.nonzero()[0], b.nonzero()[0]
+        where = self.group.table[i[:, None], j].ravel()
+        terms = F.mul_table[a[i][:, None], b[j]].ravel()
+        sums = [np.bincount(where, plane[terms], self.dim) for plane in F.digit_planes]
+        coords = np.array(sums).astype(np.int64) % F.p
+        return (F.places @ coords).tolist()
 
     def left_mult_matrix(self, elt_idx: int) -> FFMatrix:
         """Permutation matrix of left multiplication by a group element on
         the element basis (the regular representation)."""
         if elt_idx not in self._left_mult:
-            g = self.group
             mat = np.zeros((self.dim, self.dim), dtype=_CODE_DTYPE)
-            for j in range(self.dim):
-                mat[g.mul(elt_idx, j), j] = 1
+            mat[self.group.table[elt_idx], np.arange(self.dim)] = 1
             self._left_mult[elt_idx] = FFMatrix._trusted(self.field, mat)
         return self._left_mult[elt_idx]
 

@@ -570,28 +570,6 @@ class FFMatrix:
             polys.append(cur)
         return tuple(polys[n])
 
-    def charpoly_esym(self, i: int) -> int:
-        """Degree-i elementary symmetric function of the eigenvalues,
-        i.e. the trace of the i-th exterior power."""
-        if self.rows != self.cols:
-            raise FFError("characteristic polynomial needs a square matrix")
-        n = self.rows
-        if i > n:
-            return 0
-        if i == 1:
-            return self.trace()
-        cp = self.charpoly()
-        c = cp[n - i]
-        # det(xI - A) = sum_i (-1)^i e_i x^(n-i)
-        return self.field.neg(c) if i % 2 else c
-
-    def trace(self) -> int:
-        f = self.field
-        t = 0
-        for i in range(min(self.rows, self.cols)):
-            t = f.add(t, int(self.data[i, i]))
-        return t
-
 
 def _matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B for code arrays over f: one float64 BLAS product on coefficient

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from math import lcm
 
+import numpy as np
+
 Perm = tuple[int, ...]
 
 
@@ -88,6 +90,7 @@ class FiniteGroup:
         self.identity = self.index[perm_identity(degree)]
         self.gen_indices = tuple(self.index[g] for g in self.generators)
         self._inv = tuple(self.index[perm_inverse(g)] for g in self.elements)
+        self._table = None
         self._classes = None
         self._words = None
 
@@ -124,8 +127,40 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def table(self) -> np.ndarray:
+        """The multiplication table, read-only: ``table[i, j]`` is the index
+        of ``elements[i] * elements[j]``.  Built on first use by array
+        operations, a block of rows at a time."""
+        if self._table is None:
+            E = np.array(self.elements, dtype=np.intp)
+            n, degree = E.shape
+            # The rank of an element's first x + 1 images among those of all
+            # elements follows from the rank of its first x: rank * degree +
+            # image x, looked up among the values of that key.  The rows are
+            # sorted, so each key is too, and a whole row's rank is its index.
+            levels, rank = [], np.zeros(n, dtype=np.intp)
+            for x in range(degree):
+                key = rank * degree + E[:, x]
+                new = np.ones(n, dtype=bool)
+                new[1:] = key[1:] != key[:-1]
+                levels.append(key[new])
+                rank = np.cumsum(new) - 1
+            table = np.empty((n, n), dtype=np.int16 if n <= 1 << 15 else np.int32)
+            # blocks of rows keep the (rows, n, degree) image array near 2^16
+            step = max(1, (1 << 16) // (n * degree))
+            for start in range(0, n, step):
+                prod = E[start : start + step][:, E]  # [a, b, x] = a(b(x))
+                rank = np.zeros(prod.shape[:2], dtype=np.intp)
+                for x, values in enumerate(levels):
+                    rank = values.searchsorted(rank * degree + prod[:, :, x])
+                table[start : start + step] = rank
+            table.flags.writeable = False
+            self._table = table
+        return self._table
+
     def mul(self, i: int, j: int) -> int:
-        return self.index[perm_compose(self.elements[i], self.elements[j])]
+        return int(self.table[i, j])
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -149,7 +184,7 @@ class FiniteGroup:
             for i in range(self.order):
                 if i in seen:
                     continue
-                orbit = {self.conjugate(x, i) for x in range(self.order)}
+                orbit = set(self.table[self.table[:, i], self._inv].tolist())
                 seen |= orbit
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(sorted(classes, key=lambda c: c[0]))

@@ -176,10 +176,8 @@ def tau_indec_cached(registry: ModuleRegistry, pid: int) -> RepModule:
 
 
 def _right_mult_matrix(algebra, elt_idx: int) -> FFMatrix:
-    g = algebra.group
     mat = np.zeros((algebra.dim, algebra.dim), dtype=_CODE_DTYPE)
-    for j in range(algebra.dim):
-        mat[g.mul(j, elt_idx), j] = 1
+    mat[algebra.group.table[:, elt_idx], np.arange(algebra.dim)] = 1
     return FFMatrix._trusted(algebra.field, mat)
 
 

@@ -207,8 +207,10 @@ def lies_in_block(M: RepModule, block: Block) -> bool:
 def hom_basis(M: RepModule, N: RepModule) -> list[FFMatrix]:
     """Basis of Hom(M, N) as matrices of shape (N.dim, M.dim).
 
-    Uses the free-module shortcut (columns are orbit images) when M carries
-    an inclusion into the regular module, otherwise the intertwiner solver."""
+    A direct sum is lifted from its parts, and a summand of the regular
+    module takes the free-module shortcut (columns are orbit images); these
+    bases depend on how M was built.  Any other pair is solved by the
+    intertwiner solver once per pair of contents, in the registry."""
     if M.algebra is not N.algebra:
         raise ModuleError("hom space across different algebras")
     if M.dim == 0 or N.dim == 0:
@@ -223,8 +225,15 @@ def hom_basis(M: RepModule, N: RepModule) -> list[FFMatrix]:
         return out
     if M.lambda_inclusion is not None:
         return rings.reduce_span(M.field, _hom_from_regular_summand(M, N))
-    constraints = list(zip(M.gen_mats, N.gen_mats))
-    return solve_intertwiner_system(M.field, constraints, (N.dim, M.dim))
+    # the solver's basis depends on the two generator tuples alone
+    solved = M.algebra.registry.memo(
+        "hom",
+        (_content_key(M), _content_key(N)),
+        lambda: solve_intertwiner_system(
+            M.field, list(zip(M.gen_mats, N.gen_mats)), (N.dim, M.dim)
+        ),
+    )
+    return list(solved)
 
 
 def _hom_from_regular_summand(M: RepModule, N: RepModule) -> list[FFMatrix]:
@@ -369,7 +378,7 @@ class ModuleRegistry:
             name: {}
             for name in (
                 "decompose",  # content key -> Decomposition
-                "end",  # content key -> basis of End
+                "hom",  # (content key, content key) -> solved basis of Hom or End
                 "idempotent",  # content key -> splitting idempotent or None
                 "semisimple",  # None -> (simple ids, PIM id of each simple)
                 "label",  # id -> label
@@ -472,9 +481,7 @@ class ModuleRegistry:
             e = self.memo(
                 "idempotent",
                 key,
-                lambda: rings.find_splitting_idempotent(
-                    X.field, self.memo("end", key, lambda: end_basis(X)), seed=self.seed
-                ),
+                lambda: rings.find_splitting_idempotent(X.field, self._end(X), seed=self.seed),
             )
             if e is None:
                 parts.append((X, inc))
@@ -509,11 +516,17 @@ class ModuleRegistry:
             "hom_basis", (a, b), lambda: hom_basis(self.entries[a], self.entries[b])
         )
 
+    def _end(self, M: RepModule) -> list[FFMatrix]:
+        """Basis of End(M), solved once per content, in the table where
+        hom_basis(M, M) finds it too."""
+        key = _content_key(M)
+        return self.memo("hom", (key, key), lambda: end_basis(M))
+
     def rad_end_basis(self, idx: int) -> list[FFMatrix]:
-        M = self.entries[idx]
-        end = self.memo("end", _content_key(M), lambda: end_basis(M))
         return self.memo(
-            "rad_end", idx, lambda: rings.algebra_radical(self.algebra.field, end)
+            "rad_end",
+            idx,
+            lambda: rings.algebra_radical(self.algebra.field, self._end(self.entries[idx])),
         )
 
     # ---- semisimple bookkeeping

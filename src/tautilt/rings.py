@@ -109,12 +109,45 @@ def _trace_form(field: FieldSpec, J: list[FFMatrix]) -> FFMatrix:
     return FFMatrix._trusted(field, _matmul(field, B, U.T))
 
 
+def _stage_matrix(field: FieldSpec, J: list[FFMatrix], pk: int, charpolys: dict) -> FFMatrix:
+    """The matrix with entry (b, u) = e_pk(u b) for u and b running over J,
+    for pk >= 2, filled from its upper triangle: for each b, one product of
+    the elements of J from b on, stacked, with b gives the u b of its row.
+    The charpoly of each distinct product is taken once and kept in
+    ``charpolys``, keyed by its codes, across the stages of a call."""
+    d, n = len(J), J[0].rows
+    stacked = np.vstack([u.data for u in J])
+    C = np.zeros((d, d), dtype=_CODE_DTYPE)
+    for i, b in enumerate(J):
+        prods = _matmul(field, stacked[i * n :], b.data).reshape(d - i, n, n)
+        for j, prod in enumerate(prods, i):
+            key = prod.tobytes()
+            cp = charpolys.get(key)
+            if cp is None:
+                cp = charpolys[key] = FFMatrix._trusted(field, prod).charpoly()
+            # det(xI - A) = sum_i (-1)^i e_i x^(n-i)
+            e = cp[n - pk] if pk % 2 == 0 else field.neg(cp[n - pk])
+            C[i, j] = C[j, i] = e
+    return FFMatrix._trusted(field, C)
+
+
 def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
     """Jacobson radical of the matrix algebra spanned by ``basis``.
 
     The basis must span an algebra (closed under products).  Returns a
     canonical basis of the radical.  Every returned element is checked to be
-    nilpotent as a matrix; the full ideal property is exercised in tests."""
+    nilpotent as a matrix; the full ideal property is exercised in tests.
+
+    Each stage solves C s = 0 for the matrix C[b, u] = e_pk(u b) over the
+    current basis J.  C is symmetric: XY and YX have the same
+    characteristic polynomial, so e_pk(u b) = e_pk(b u), and only its upper
+    triangle is computed.  Its entries come from the charpolys of the
+    products, one charpoly per distinct product matrix: equal matrices have
+    equal charpolys, and each stage reads its own coefficient e_pk off the
+    shared charpoly.  So a stage on J = kG, where every product is some L_g,
+    takes |G| charpolys, and a stage that keeps the J of the stage before
+    takes none.  Sharing changes no entry of C, hence no byte of the
+    result."""
     J = reduce_span(field, basis)
     if not J:
         return []
@@ -122,13 +155,13 @@ def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
     p = field.p
     k = 0
     pk = 1
+    charpolys: dict[bytes, tuple[int, ...]] = {}
     while pk <= n and J:
         # e_{pk}(x b) = 0 for x = sum t_i u_i, all b in J; unknowns s_i = t_i^{pk}
         if pk == 1:
             C = _trace_form(field, J)
         else:
-            rows = [[(u @ b).charpoly_esym(pk) for u in J] for b in J]
-            C = FFMatrix._trusted(field, np.array(rows))
+            C = _stage_matrix(field, J, pk, charpolys)
         sol = C.nullspace()  # columns: s-coordinate solutions
         newJ = [
             combine(field, [field.frobenius_inv(int(s), k) for s in sol.data[:, j]], J)

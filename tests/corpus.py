@@ -1,7 +1,46 @@
-"""Deterministic module corpus shared by the Mackey and translate suites."""
+"""Deterministic groups and module corpus shared by the suites."""
+
+import functools
 
 from tautilt import homalg
+from tautilt.groups import (
+    alternating_group,
+    cyclic_group,
+    direct_product,
+    group_from_generators,
+    symmetric_group,
+)
 from tautilt.modules import direct_sum, regular_module, trivial_module
+
+
+def sl23():
+    """SL(2,3) acting on the 8 nonzero vectors of GF(3)^2."""
+    vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def perm(M):
+        return [
+            vecs.index(((M[0][0] * x + M[0][1] * y) % 3, (M[1][0] * x + M[1][1] * y) % 3))
+            for x, y in vecs
+        ]
+
+    return group_from_generators([perm([[1, 1], [0, 1]]), perm([[0, 2], [1, 0]])], name="SL23")
+
+
+@functools.cache
+def fixture_groups():
+    """The groups the suites and the benchmark work with, by name; built
+    once, so read-only to callers."""
+    groups = [
+        cyclic_group(3),
+        symmetric_group(3),
+        alternating_group(4),
+        symmetric_group(4),
+        sl23(),
+        direct_product(symmetric_group(3), cyclic_group(3))[0],
+        cyclic_group(4),
+        symmetric_group(5),
+    ]
+    return {g.name: g for g in groups}
 
 
 def corpus_of(pair_ctx, max_modules=10):

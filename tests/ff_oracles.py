@@ -9,12 +9,16 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   ``rings.combine`` replaced (``test_rings.py``);
 * the Kronecker intertwiner solver that spinning replaced, and the
   bit-sliced GF(2^m) elimination that ran its large systems
-  (``test_ff_packed.py``)."""
+  (``test_ff_packed.py``);
+* the radical that took one charpoly per entry of every stage matrix
+  (``test_rings.py``), and the group algebra product that composed the
+  permutations of every pair of group elements (``test_algebra.py``)."""
 
 import numpy as np
 
 from tautilt import rings
 from tautilt.ff import _CODE_DTYPE, FFMatrix, FieldSpec
+from tautilt.groups import perm_compose
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -277,4 +281,61 @@ def unpack_planes(planes: np.ndarray, ncols: int) -> np.ndarray:
         for k in reversed(range(m - 1)):
             block <<= 1
             block |= np.unpackbits(raw[rows, k], axis=1, count=ncols, bitorder="little")
+    return out
+
+
+def esym(A: FFMatrix, i: int) -> int:
+    """e_i of the eigenvalues of A, the trace of its i-th exterior power:
+    the trace for i = 1, else (-1)^i times the coefficient of x^(n-i) of
+    det(xI - A)."""
+    f, n = A.field, A.rows
+    if i == 1:
+        t = 0
+        for k in range(n):
+            t = f.add(t, int(A.data[k, k]))
+        return t
+    c = A.charpoly()[n - i]
+    return f.neg(c) if i % 2 else c
+
+
+def entrywise_radical(field: FieldSpec, basis) -> list[FFMatrix]:
+    """Jacobson radical by the descending chain of ``rings.algebra_radical``,
+    with every entry e_pk(u b) of every stage matrix computed on its own."""
+    J = rings.reduce_span(field, basis)
+    if not J:
+        return []
+    n = J[0].rows
+    k, pk = 0, 1
+    while pk <= n and J:
+        C = FFMatrix._trusted(field, np.array([[esym(u @ b, pk) for u in J] for b in J]))
+        sol = C.nullspace()
+        J = rings.reduce_span(
+            field,
+            [
+                rings.combine(field, [field.frobenius_inv(int(s), k) for s in sol.data[:, j]], J)
+                for j in range(sol.cols)
+            ],
+        )
+        k += 1
+        pk *= field.p
+    for x in J:
+        if not rings.matrix_power(x, n).is_zero():
+            raise AssertionError("radical computation produced a non-nilpotent element")
+    return J
+
+
+def loop_mul_vec(algebra, a, b) -> list[int]:
+    """The product of two coefficient vectors of kG, one composition of
+    permutations and one field multiply-add per pair of nonzero
+    coefficients."""
+    F, G = algebra.field, algebra.group
+    out = [0] * algebra.dim
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            if not cb:
+                continue
+            k = G.index[perm_compose(G.elements[i], G.elements[j])]
+            out[k] = F.add(out[k], F.mul(ca, cb))
     return out

@@ -2,7 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import fixture_groups
+from ff_oracles import loop_mul_vec
 from tautilt import rings
 from tautilt.algebra import (
     AlgebraError,
@@ -28,6 +32,38 @@ from tautilt.groups import (
 def algebra_of(group, p, m=None):
     field = splitting_field(p, [group]) if m is None else field_create(p, m)
     return GroupAlgebra(group, field)
+
+
+# -- products -----------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(fixture_groups())),
+    pm=st.sampled_from([(2, 1), (2, 2), (5, 1)]),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_vec_matches_loop(name, pm, density, seed):
+    alg = GroupAlgebra(fixture_groups()[name], field_create(*pm))
+    rng = np.random.default_rng(seed)
+
+    def vector():
+        v = rng.integers(0, alg.field.q, size=alg.dim)
+        v[rng.random(alg.dim) >= density] = 0
+        return [int(c) for c in v]
+
+    a, b = vector(), vector()
+    got = alg.mul_vec(a, b)
+    assert got == loop_mul_vec(alg, a, b)
+    assert all(type(c) is int for c in got)
+
+
+def test_mul_vec_full_vectors_over_gf5():
+    # every coefficient 4 on S5: 14,400 terms land on 120 elements
+    alg = GroupAlgebra(fixture_groups()["S5"], field_create(5, 1))
+    full = [4] * alg.dim
+    assert alg.mul_vec(full, full) == loop_mul_vec(alg, full, full)
 
 
 # -- radical ----------------------------------------------------------------

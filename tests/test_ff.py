@@ -169,14 +169,6 @@ class TestPolynomialData:
                 x % F.q for x in (det, F.neg(tr), 1)
             ) or A.charpoly() == (det, F.neg(tr), 1)
 
-    def test_charpoly_esym(self):
-        F = gf(2, 2)
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            A = random_matrix(F, 3, 3, rng)
-            assert A.charpoly_esym(0) == 1
-            assert A.charpoly_esym(1) == A.trace()
-
     def test_apply_poly(self):
         F = gf(2, 2)
         A = FFMatrix.from_rows(F, [[2, 0], [0, 3]])

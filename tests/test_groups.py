@@ -1,5 +1,6 @@
 import pytest
 
+from corpus import fixture_groups
 from tautilt.groups import (
     FiniteGroup,
     GroupError,
@@ -53,6 +54,29 @@ def test_a4_order_and_classes():
     assert {frozenset(c) for c in classes} == oracle
     # classes partition the group
     assert sorted(i for c in classes for i in c) == list(range(12))
+
+
+def wide_group():
+    """An elementary abelian group of order 64 moving only the last 12 of
+    40 points, so that its image tuples are long and share a long prefix."""
+    gens = []
+    for k in range(6):
+        images = list(range(40))
+        images[28 + 2 * k], images[29 + 2 * k] = 29 + 2 * k, 28 + 2 * k
+        gens.append(images)
+    return group_from_generators(gens, name="E64")
+
+
+@pytest.mark.parametrize("name", [*fixture_groups(), "E64"])
+def test_multiplication_table_composes_permutations(name):
+    g = fixture_groups()[name] if name != "E64" else wide_group()
+    table = g.table
+    assert table.shape == (g.order, g.order)
+    assert not table.flags.writeable
+    for i, a in enumerate(g.elements):
+        for j, b in enumerate(g.elements):
+            assert table[i, j] == g.index[perm_compose(a, b)]
+    assert g.mul(g.order - 1, 0) == g.index[perm_compose(g.elements[-1], g.elements[0])]
 
 
 def test_s4_order_by_brute_force_closure():

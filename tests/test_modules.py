@@ -518,3 +518,33 @@ def test_end_basis_solved_once_per_content(monkeypatch):
     enumerate_poset(TiltingContext(alg))
     assert keys
     assert len(keys) == len(set(keys))
+
+
+def test_hom_spaces_solved_once_per_content(monkeypatch):
+    """The solver branch of hom_basis and the End bases share one
+    content-keyed table, so a whole poset enumeration solves each pair of
+    module contents once."""
+    from tautilt import modules
+    from tautilt.engine import TiltingContext, enumerate_poset
+
+    alg = GroupAlgebra(alternating_group(4), field_create(2, 2))
+    keys = []
+    real = modules.solve_intertwiner_system
+
+    def recording(field, constraints, dims):
+        keys.append((dims, b"".join(L.data.tobytes() + R.data.tobytes() for L, R in constraints)))
+        return real(field, constraints, dims)
+
+    monkeypatch.setattr(modules, "solve_intertwiner_system", recording)
+    enumerate_poset(TiltingContext(alg))
+    assert keys
+    assert len(keys) == len(set(keys))
+
+
+def test_hom_basis_returns_a_fresh_list(a4_gf4):
+    reg = a4_gf4.registry
+    M = reg.module(reg.simple_ids()[0])
+    assert M.sum_parts is None and M.lambda_inclusion is None  # the solver branch
+    first = hom_basis(M, M)
+    first.append(None)
+    assert None not in hom_basis(M, M)

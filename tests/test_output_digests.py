@@ -19,6 +19,7 @@ GROUPS = {
     "S4": (4, [[2, 3, 4, 1], [2, 1, 3, 4]]),
     "C3": (3, [[2, 3, 1]]),
     "S3": (3, [[2, 3, 1], [2, 1, 3]]),
+    "S5": (5, [[2, 3, 4, 5, 1], [2, 1, 3, 4, 5]]),
 }
 
 EXPECTED = {
@@ -37,6 +38,16 @@ EXPECTED = {
     },
     "mackey A4 S4 --p 2": {
         "stdout": "ad21a738a38c40f7f2e65004a078ffc035008b567e8cbfa3e2066d39c7519889",
+    },
+    # The radical of kS4 over GF(2) and the blocks of kS5 over GF(5),
+    # pinned before their stage matrices and group products were batched.
+    "stt S4 --p 2 --m 1": {
+        "stdout": "dfba41bba1ff1600e6150df420baaf0d3be51a5e2bd38ebf351864506db127be",
+        "json": "6ccf181ee6f530c9175360f5b0d9edd5a394c9077f4b6ffa9321096332a1d7ac",
+        "dot": "a39b788437f93173f19b44ac6e7f2f47348f836862b524173d9c645c49c9c974",
+    },
+    "blocks S5 --p 5 --m 1": {
+        "stdout": "2743ee329513198f867a89e590ddc69e29f32b0f2b377c479eac2d849d239165",
     },
 }
 
