@@ -54,7 +54,7 @@ class GroupAlgebra:
         self.field = field
         self.dim = group.order
         self._blocks = None
-        self._left_mult = {}
+        self._regular_actions = None
         self._radical = None
         self._registry = None  # set by the ModuleRegistry of this algebra
 
@@ -96,32 +96,19 @@ class GroupAlgebra:
         coords = np.array(sums).astype(np.int64) % F.p
         return (F.places @ coords).tolist()
 
-    def left_mult_matrix(self, elt_idx: int) -> FFMatrix:
-        """Permutation matrix of left multiplication by a group element on
-        the element basis (the regular representation)."""
-        if elt_idx not in self._left_mult:
-            mat = np.zeros((self.dim, self.dim), dtype=_CODE_DTYPE)
-            mat[self.group.table[elt_idx], np.arange(self.dim)] = 1
-            self._left_mult[elt_idx] = FFMatrix._trusted(self.field, mat)
-        return self._left_mult[elt_idx]
-
-    def vector_mult_matrix(self, vec) -> FFMatrix:
-        """Left multiplication by a nonzero algebra element on the element
-        basis."""
-        support = [i for i, c in enumerate(vec) if c]
-        return rings.combine(
-            self.field, [vec[i] for i in support], [self.left_mult_matrix(i) for i in support]
-        )
-
-    def conjugate_vector(self, vec, x_idx: int) -> list[int]:
-        """x * a * x^-1 coefficientwise (coefficients move to conjugated
-        group elements)."""
-        g = self.group
-        out = self.zero()
-        for i, c in enumerate(vec):
-            if c:
-                out[g.conjugate(x_idx, i)] = c
-        return out
+    @property
+    def regular_actions(self) -> np.ndarray:
+        """The read-only (|G|, |G|, |G|) stack of the permutation matrices of
+        left multiplication on the element basis, g e_j = e_(gj): the action
+        stack every regular module of this algebra shares.  Built on first
+        use from the multiplication table in one fancy-index step."""
+        if self._regular_actions is None:
+            n = self.dim
+            stack = np.zeros((n, n, n), dtype=_CODE_DTYPE)
+            stack[np.arange(n)[:, None], self.group.table, np.arange(n)] = 1
+            stack.flags.writeable = False
+            self._regular_actions = stack
+        return self._regular_actions
 
     def center_basis(self) -> list[list[int]]:
         """Conjugacy class sums."""
@@ -137,7 +124,7 @@ class GroupAlgebra:
         """Basis of the Jacobson radical of kG as coefficient vectors
         (computed once and cached)."""
         if self._radical is None:
-            mats = [self.left_mult_matrix(i) for i in range(self.dim)]
+            mats = [FFMatrix._trusted(self.field, a) for a in self.regular_actions]
             rad = rings.algebra_radical(self.field, mats)
             # a multiplication matrix is recovered as a vector by its action on 1
             ident = self.group.identity
@@ -160,8 +147,10 @@ class Block:
         self.parent = parent
         self.idempotent = list(idempotent)
         self.index = index
-        mult = parent.vector_mult_matrix(self.idempotent)
-        self.dim = mult.rank()
+        # left multiplication by e has entry (i, j) = e_(i j^-1); taking its
+        # columns in the order of the inverses leaves e_(ij), and the rank
+        mult = np.asarray(self.idempotent, dtype=_CODE_DTYPE)[parent.group.table]
+        self.dim = FFMatrix._trusted(parent.field, mult).rank()
         F = parent.field
         s = 0
         for c in self.idempotent:
@@ -221,12 +210,16 @@ def covers(btilde: Block, b: Block, emb: SubgroupEmbedding) -> bool:
     amb_alg = btilde.parent
     if amb_alg.group is not emb.amb or b.parent.group is not emb.sub:
         raise AlgebraError("blocks do not match the embedding")
-    lifted = amb_alg.zero()
-    for i, c in enumerate(b.idempotent):
-        if c:
-            lifted[emb.element_map[i]] = c
-    prod = amb_alg.mul_vec(lifted, btilde.idempotent)
+    prod = amb_alg.mul_vec(_lift(b.idempotent, emb), btilde.idempotent)
     return any(prod)
+
+
+def _lift(vec, emb: SubgroupEmbedding) -> list[int]:
+    """An element of the subgroup algebra as one of the overgroup algebra."""
+    out = [0] * emb.amb.order
+    for i, c in enumerate(vec):
+        out[emb.element_map[i]] = c
+    return out
 
 
 class InertialGroup:
@@ -237,16 +230,12 @@ class InertialGroup:
         if not emb.normal:
             raise AlgebraError("inertial groups need a normal embedding")
         amb = emb.amb
-        alg = GroupAlgebra(amb, block.field)
-        lifted = alg.zero()
-        for i, c in enumerate(block.idempotent):
-            if c:
-                lifted[emb.element_map[i]] = c
+        lifted = _lift(block.idempotent, emb)
+        support = [i for i, c in enumerate(lifted) if c]
+        # x e x^-1 = e when conjugation by x keeps every coefficient of the support
+        stable_reps = [rep for rep in emb.coset_reps
+                       if all(lifted[amb.conjugate(rep, i)] == lifted[i] for i in support)]
         members = []
-        stable_reps = []
-        for rep in emb.coset_reps:
-            if alg.conjugate_vector(lifted, rep) == lifted:
-                stable_reps.append(rep)
         image = set(emb.element_map)
         for rep in stable_reps:
             for h in image:

@@ -515,6 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> SessionConfig:
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}", EXIT_PARSE)
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     return SessionConfig(
         p=args.p,
@@ -529,7 +531,6 @@ def config_from_args(args) -> SessionConfig:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = config_from_args(args)
     handlers = {
         "blocks": cmd_blocks,
         "stt": cmd_stt,
@@ -538,7 +539,7 @@ def main(argv=None) -> int:
         "mackey": cmd_mackey,
     }
     try:
-        return handlers[args.command](args, config)
+        return handlers[args.command](args, config_from_args(args))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

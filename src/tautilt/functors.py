@@ -90,9 +90,7 @@ def induce(ctx: InductionContext, M: RepModule) -> RepModule:
         action = ctx._coset_action(gi)
         big = np.zeros((n * d, n * d), dtype=_CODE_DTYPE)
         for i, (sigma_i, h) in enumerate(action):
-            big[sigma_i * d : (sigma_i + 1) * d, i * d : (i + 1) * d] = M.action_of(
-                h
-            ).data
+            big[sigma_i * d : (sigma_i + 1) * d, i * d : (i + 1) * d] = M.actions[h]
         mats.append(FFMatrix._trusted(field, big))
     return RepModule(ctx.target, mats, label=f"Ind({M.label})" if M.label else "")
 

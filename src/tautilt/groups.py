@@ -92,7 +92,6 @@ class FiniteGroup:
         self._inv = tuple(self.index[perm_inverse(g)] for g in self.elements)
         self._table = None
         self._classes = None
-        self._words = None
 
     @classmethod
     def from_generators(cls, perms, name: str = "", order_cap: int = 10000) -> "FiniteGroup":
@@ -189,24 +188,6 @@ class FiniteGroup:
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(sorted(classes, key=lambda c: c[0]))
         return self._classes
-
-    def generator_words(self) -> tuple[tuple[int, ...], ...]:
-        """For each element, a word in generator positions composing to it
-        (left-to-right application order: word (a, b) means gen_a * gen_b)."""
-        if self._words is None:
-            words = {self.identity: ()}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for gi in frontier:
-                    for pos, s in enumerate(self.generators):
-                        hi = self.index[perm_compose(s, self.elements[gi])]
-                        if hi not in words:
-                            words[hi] = (pos,) + words[gi]
-                            nxt.append(hi)
-                frontier = nxt
-            self._words = tuple(words[i] for i in range(self.order))
-        return self._words
 
     def subgroup(self, element_indices, name: str = "") -> "FiniteGroup":
         """The subgroup on the given element set, as its own group with the
@@ -349,15 +330,20 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> tuple[FiniteGroup, Subgr
 def group_from_json(data, name: str = "", order_cap: int = 10000) -> FiniteGroup:
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
+    if not isinstance(data, dict) or "degree" not in data or not isinstance(
+        data.get("generators"), list
+    ):
         raise GroupError('group JSON must be {"degree": n, "generators": [...]}')
     degree = data["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise GroupError("degree must be a positive integer")
     perms = []
     for gen in data["generators"]:
         if not isinstance(gen, list) or not gen:
             raise GroupError("each generator must be a non-empty list")
+        lists = gen if isinstance(gen[0], list) else [gen]  # cycles, or the image list
+        if not all(isinstance(c, list) and all(type(x) is int for x in c) for c in lists):
+            raise GroupError(f"not a list of integer points: {gen}")
         if isinstance(gen[0], list):
             perms.append(perm_from_cycles(gen, degree))
         else:

@@ -30,14 +30,12 @@ from .modules import (
 
 
 def radical_submodule_basis(M: RepModule) -> FFMatrix:
-    """Basis of rad(Lambda) * M as columns."""
-    if M.dim == 0:
-        return FFMatrix.zeros(M.field, 0, 0)
-    rad_vecs = M.algebra.radical_vectors()
-    if not rad_vecs:
-        return FFMatrix.zeros(M.field, M.dim, 0)
-    mats = [M.apply_algebra_vector(v) for v in rad_vecs]
-    return FFMatrix.hstack(*mats).column_space_basis()
+    """Basis of rad(Lambda) * M as columns: the pivot columns of
+    [r_1 M | r_2 M | ...] over the radical basis r_i, whose action matrices
+    come from one product with the action stack."""
+    mats = M.apply_algebra_vectors(M.algebra.radical_vectors())
+    columns = mats.transpose(1, 0, 2).reshape(M.dim, len(mats) * M.dim)
+    return FFMatrix._trusted(M.field, columns).column_space_basis()
 
 
 def radical(M: RepModule) -> tuple[RepModule, FFMatrix]:

@@ -1,10 +1,13 @@
 """Modules over group algebras as matrix representations.
 
-A RepModule stores one action matrix per group generator; matrices for the
-remaining elements are derived through cached generator words.  Submodules,
-quotients, direct sums, hom spaces, isomorphism testing and the splitting
-into indecomposable summands all live here, together with the per-algebra
-registry of isomorphism classes that the tilting engine keys everything on.
+A RepModule stores one action matrix per group generator.  The matrices of
+all group elements form one read-only stack, built on first use level by
+level of the Cayley graph; an element of kG acts through one product of its
+coefficients with that stack, and every regular module shares the
+permutation stack of its algebra.  Submodules, quotients, direct sums, hom
+spaces, isomorphism testing and the splitting into indecomposable summands
+all live here, together with the per-algebra registry of isomorphism
+classes that the tilting engine keys everything on.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import rings
 from .algebra import Block, GroupAlgebra
-from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, block_diag, solve_intertwiner_system
+from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, _matmul, block_diag, solve_intertwiner_system
 from .groups import group_from_json, group_to_json
 
 
@@ -41,7 +44,7 @@ class RepModule:
         self.label = label
         self.lambda_inclusion = None  # set for direct summands of the regular module
         self.sum_parts = None  # set by direct_sum: list of (part, offset)
-        self._elt_mats: dict[int, FFMatrix] = {}
+        self._actions = None
         self._registry_id = None
         if verify:
             self.verify_action()
@@ -53,36 +56,66 @@ class RepModule:
     def is_zero(self) -> bool:
         return self.dim == 0
 
+    @property
+    def actions(self) -> np.ndarray:
+        """The read-only (|G|, dim, dim) stack of the action matrices of all
+        group elements, in element order.  Built on first use, level by level
+        of the Cayley graph: the elements s g first reached from the level
+        of g through the generator s get A_s A_g, one product per generator
+        and level."""
+        if self._actions is None:
+            group, d = self.algebra.group, self.dim
+            stack = np.zeros((group.order, d, d), dtype=_CODE_DTYPE)
+            stack[group.identity] = np.eye(d, dtype=_CODE_DTYPE)
+            reached = np.zeros(group.order, dtype=bool)
+            reached[group.identity] = True
+            level = np.array([group.identity])
+            while level.size:
+                found = []
+                for A_s, s in zip(self.gen_mats, group.gen_indices):
+                    targets = group.table[s, level]
+                    new = ~reached[targets]
+                    targets, sources = targets[new], level[new]
+                    reached[targets] = True
+                    k = targets.size
+                    spread = stack[sources].transpose(1, 0, 2).reshape(d, k * d)
+                    prod = _matmul(self.field, A_s.data, spread)
+                    stack[targets] = prod.reshape(d, k, d).transpose(1, 0, 2)
+                    found.append(targets)
+                level = np.concatenate(found)
+            stack.flags.writeable = False
+            self._actions = stack
+        return self._actions
+
     def action_of(self, elt_idx: int) -> FFMatrix:
-        cached = self._elt_mats.get(elt_idx)
-        if cached is not None:
-            return cached
-        word = self.algebra.group.generator_words()[elt_idx]
-        acc = FFMatrix.identity(self.field, self.dim)
-        for pos in word:
-            acc = acc @ self.gen_mats[pos]
-        self._elt_mats[elt_idx] = acc
-        return acc
+        return FFMatrix._trusted(self.field, self.actions[elt_idx])
+
+    def apply_algebra_vectors(self, vecs) -> np.ndarray:
+        """The action matrices sum_g c_g A_g of the algebra elements given
+        as coefficient rows c, shape (len(vecs), dim, dim): one product of
+        the rows with the stack flattened to (|G|, dim^2)."""
+        n, d = self.algebra.dim, self.dim
+        rows = np.array(vecs, dtype=_CODE_DTYPE).reshape(-1, n)
+        prod = _matmul(self.field, rows, self.actions.reshape(n, d * d))
+        return prod.reshape(len(rows), d, d)
 
     def apply_algebra_vector(self, vec) -> FFMatrix:
-        """Action matrix of a nonzero algebra element (coefficient vector)."""
-        support = [i for i, c in enumerate(vec) if c]
-        return rings.combine(
-            self.field, [vec[i] for i in support], [self.action_of(i) for i in support]
-        )
+        """Action matrix of an algebra element (coefficient vector)."""
+        return FFMatrix._trusted(self.field, self.apply_algebra_vectors([vec])[0])
 
     def verify_action(self):
-        """Check the matrices define a representation: compatible with every
-        product (element, generator), which propagates to all products."""
-        g = self.algebra.group
-        for i in range(g.order):
-            mi = self.action_of(i)
-            for pos, s in enumerate(g.gen_indices):
-                left = self.gen_mats[pos] @ mi
-                if left != self.action_of(g.mul(s, i)):
-                    raise ModuleError(
-                        f"action matrices violate the relation gen*{i} in {g.name}"
-                    )
+        """Check the matrices define a representation: A_s A_g = A_(sg) for
+        every generator s and element g, one product per generator, which
+        propagates to all products."""
+        group, A, d = self.algebra.group, self.actions, self.dim
+        spread = A.transpose(1, 0, 2).reshape(d, group.order * d)  # [A_0 | A_1 | ...]
+        for A_s, s in zip(self.gen_mats, group.gen_indices):
+            left = _matmul(self.field, A_s.data, spread).reshape(d, group.order, d)
+            wrong = (left.transpose(1, 0, 2) != A[group.table[s]]).any(axis=(1, 2))
+            if wrong.any():
+                raise ModuleError(
+                    f"action matrices violate the relation gen*{wrong.argmax()} in {group.name}"
+                )
 
     def relabel(self, label: str) -> "RepModule":
         self.label = label
@@ -104,8 +137,10 @@ def trivial_module(algebra: GroupAlgebra) -> RepModule:
 
 
 def regular_module(algebra: GroupAlgebra) -> RepModule:
-    mats = [algebra.left_mult_matrix(i) for i in algebra.group.gen_indices]
+    stack = algebra.regular_actions
+    mats = [FFMatrix._trusted(algebra.field, stack[i]) for i in algebra.group.gen_indices]
     mod = RepModule(algebra, mats, label="regular")
+    mod._actions = stack
     mod.lambda_inclusion = FFMatrix.identity(algebra.field, algebra.dim)
     return mod
 
@@ -238,17 +273,14 @@ def hom_basis(M: RepModule, N: RepModule) -> list[FFMatrix]:
 
 def _hom_from_regular_summand(M: RepModule, N: RepModule) -> list[FFMatrix]:
     """Spanning set of Hom(M, N) for M a summand of the regular module with
-    inclusion iota: the maps (a |-> a . v) restricted along iota."""
-    algebra = M.algebra
-    out = []
-    iota = M.lambda_inclusion
-    order = algebra.group.order
-    for j in range(N.dim):
-        cols = np.zeros((N.dim, order), dtype=_CODE_DTYPE)
-        for g in range(order):
-            cols[:, g] = N.action_of(g).data[:, j]
-        out.append(FFMatrix._trusted(N.field, cols) @ iota)
-    return out
+    inclusion iota: the maps (a |-> a . v) restricted along iota, for v the
+    standard basis vectors of N.  The map of v = e_j sends the element g to
+    column j of A_g, so one product of the transposed stack with iota gives
+    them all."""
+    d, n = N.dim, N.algebra.dim
+    columns = N.actions.transpose(2, 1, 0).reshape(d * d, n)  # [j d + a, g] = A_g[a, j]
+    maps = _matmul(N.field, columns, M.lambda_inclusion.data).reshape(d, d, M.dim)
+    return [FFMatrix._trusted(N.field, h) for h in maps]
 
 
 def hom_dim(M: RepModule, N: RepModule) -> int:

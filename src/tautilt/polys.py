@@ -138,13 +138,6 @@ def derivative(F: FieldSpec, f: Poly) -> Poly:
     return normalize(out)
 
 
-def evaluate(F: FieldSpec, f: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def _pth_root(F: FieldSpec, f: Poly) -> Poly:
     """g with g(x)^p = f(x), for f a polynomial in x^p."""
     p = F.p

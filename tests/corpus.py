@@ -1,8 +1,10 @@
-"""Deterministic groups and module corpus shared by the suites."""
+"""Deterministic groups, module corpus and random base changes shared by
+the suites."""
 
 import functools
 
 from tautilt import homalg
+from tautilt.ff import FFMatrix
 from tautilt.groups import (
     alternating_group,
     cyclic_group,
@@ -24,6 +26,14 @@ def sl23():
         ]
 
     return group_from_generators([perm([[1, 1], [0, 1]]), perm([[0, 2], [1, 0]])], name="SL23")
+
+
+def random_invertible(field, rng, n):
+    """A uniformly random invertible n x n matrix over field."""
+    while True:
+        T = FFMatrix(field, rng.integers(0, field.q, size=(n, n)))
+        if T.is_invertible():
+            return T
 
 
 @functools.cache

@@ -12,7 +12,10 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   (``test_ff_packed.py``);
 * the radical that took one charpoly per entry of every stage matrix
   (``test_rings.py``), and the group algebra product that composed the
-  permutations of every pair of group elements (``test_algebra.py``)."""
+  permutations of every pair of group elements (``test_algebra.py``);
+* the per-element word products, the support-and-``combine`` loop and the
+  column-at-a-time regular hom that the action stack of a module replaced
+  (``test_actions.py``)."""
 
 import numpy as np
 
@@ -338,4 +341,50 @@ def loop_mul_vec(algebra, a, b) -> list[int]:
                 continue
             k = G.index[perm_compose(G.elements[i], G.elements[j])]
             out[k] = F.add(out[k], F.mul(ca, cb))
+    return out
+
+
+def word_actions(M) -> list[FFMatrix]:
+    """The action matrix of every group element: the product of the
+    generator matrices along a word for it, the words found by a
+    breadth-first search that composes the permutations."""
+    G = M.algebra.group
+    words = {G.identity: ()}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for gi in frontier:
+            for pos, s in enumerate(G.generators):
+                hi = G.index[perm_compose(s, G.elements[gi])]
+                if hi not in words:
+                    words[hi] = (pos,) + words[gi]  # gen_pos * g
+                    nxt.append(hi)
+        frontier = nxt
+    out = []
+    for i in range(G.order):
+        acc = FFMatrix.identity(M.field, M.dim)
+        for pos in words[i]:
+            acc = acc @ M.gen_mats[pos]
+        out.append(acc)
+    return out
+
+
+def support_combine_action(M, mats, vec) -> FFMatrix:
+    """sum_g c_g A_g over the support of vec, given the matrices A_g."""
+    support = [i for i, c in enumerate(vec) if c]
+    if not support:
+        return FFMatrix.zeros(M.field, M.dim, M.dim)
+    return rings.combine(M.field, [vec[i] for i in support], [mats[i] for i in support])
+
+
+def column_regular_hom(M, N, mats) -> list[FFMatrix]:
+    """The spanning set of Hom(M, N) for M a summand of the regular module,
+    given the matrices A_g of N: for each j, the matrix whose column g is
+    column j of A_g, restricted along the inclusion of M."""
+    out = []
+    for j in range(N.dim):
+        cols = np.zeros((N.dim, len(mats)), dtype=_CODE_DTYPE)
+        for g, A in enumerate(mats):
+            cols[:, g] = A.data[:, j]
+        out.append(FFMatrix._trusted(N.field, cols) @ M.lambda_inclusion)
     return out

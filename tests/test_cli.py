@@ -414,6 +414,41 @@ def test_induce_rejects_module_entries_outside_the_field(group_files, capsys, tm
     assert err == f"error: bad module file {mod_file}: generator matrix 0: entry {entry!r} is not a field code in range(4)\n"
 
 
+def test_negative_seed_is_a_parse_error(group_files, capsys):
+    """A negative seed reached numpy's random generator and ended in a
+    traceback."""
+    code, out, err = run(
+        capsys, ["stt", group_files["S3"], "--p", "2", "--m", "1", "--seed", "-1", "--no-cache"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"degree": 3, "generators": [[2, 3, 1.0]]},
+        {"degree": 3, "generators": [[[1, 2.5]]]},
+        {"degree": 3, "generators": [[["a", 2]]]},
+        {"degree": 3, "generators": 5},
+        {"degree": True, "generators": [[1]]},
+        {"degree": 3, "generators": [[2, 3, True]]},
+    ],
+)
+def test_group_entries_must_be_integers(capsys, tmp_path, data):
+    """Degrees, images and cycle points are ints, not bools or floats, and
+    generators is a list: the first four ended in a TypeError traceback,
+    the last two were read as ints."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["blocks", str(path), "--p", "2", "--no-cache"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad group file {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_a4_in_s4_all(group_files, capsys, tmp_path, monkeypatch):
     """The flagship pipeline via the CLI: everything passes and the
     invariant-node map is onto the overgroup poset."""

@@ -107,16 +107,6 @@ def test_closure_and_identity_invariants():
             assert g.mul(i, g.inv(i)) == g.identity
 
 
-def test_generator_words():
-    g = symmetric_group(4)
-    words = g.generator_words()
-    for i, word in enumerate(words):
-        acc = perm_identity(4)
-        for pos in reversed(word):
-            acc = perm_compose(g.generators[pos], acc)
-        assert acc == g.elements[i]
-
-
 def test_order_cap():
     with pytest.raises(GroupError):
         group_from_generators(symmetric_group(5).generators, order_cap=100)

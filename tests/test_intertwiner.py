@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import random_invertible
 from ff_oracles import kronecker_intertwiners
 from tautilt.ff import FFMatrix, block_diag, field_create, solve_intertwiner_system
 
@@ -27,13 +28,6 @@ def random_piece(field, rng, k, n):
             data = int(rng.integers(field.q)) * np.eye(n, dtype=int)
         out.append(FFMatrix(field, data))
     return out
-
-
-def random_invertible(field, rng, n):
-    while True:
-        T = FFMatrix(field, rng.integers(0, field.q, size=(n, n)))
-        if T.is_invertible():
-            return T
 
 
 def direct_sum(field, rng, pieces, picks, conjugate):

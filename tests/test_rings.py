@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import fixture_groups
+from corpus import fixture_groups, random_invertible
 from ff_oracles import entrywise_radical, greedy_extend_basis, scale_add_combine
 from tautilt import rings
 from tautilt.algebra import GroupAlgebra
@@ -116,20 +116,13 @@ REGULAR_CASES = [
 
 def regular_matrices(name, p, m):
     alg = GroupAlgebra(fixture_groups()[name], field_create(p, m))
-    return alg.field, [alg.left_mult_matrix(i) for i in range(alg.dim)]
+    return alg.field, [FFMatrix(alg.field, a) for a in alg.regular_actions]
 
 
 @pytest.mark.parametrize("name,p,m", REGULAR_CASES)
 def test_radical_of_group_algebra_matches_entrywise_oracle(name, p, m):
     field, mats = regular_matrices(name, p, m)
     assert rings.algebra_radical(field, mats) == entrywise_radical(field, mats)
-
-
-def random_invertible(field, rng, n):
-    while True:
-        T = FFMatrix(field, rng.integers(0, field.q, size=(n, n)))
-        if T.is_invertible():
-            return T
 
 
 @st.composite
