@@ -4,13 +4,15 @@ posets, verification pipelines, induction and Mackey checks.
 Subcommands: blocks | stt | verify | induce | mackey.  All output is
 deterministic byte-for-byte for a fixed configuration; expensive results
 are cached on disk keyed by a content hash over (command, configuration,
-group data); an entry is served only to the tool version and package
-sources that wrote it.  TAUTILT_CACHE overrides the cache directory;
+group data and the group names the output prints); an entry is served
+only to the tool version and package sources that wrote it, before any
+numeric module loads.  TAUTILT_CACHE overrides the cache directory;
 --no-cache disables caching.
 
-Exit codes: 0 success, 2 parse error, 3 cap exceeded, 4 embedding not
-normal, 5 verification failure, 6 field does not split, 7 decomposition
-search exhausted, 8 internal inconsistency of the engine.
+Exit codes: 0 success, 2 parse error or unwritable output file, 3 cap
+exceeded, 4 embedding not normal, 5 verification failure, 6 field does not
+split, 7 decomposition search exhausted, 8 internal inconsistency of the
+engine.
 """
 
 from __future__ import annotations
@@ -21,22 +23,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .algebra import GroupAlgebra, splitting_field_degree
-from .engine import (
-    EngineError,
-    PosetCapExceeded,
-    TiltingContext,
-    enumerate_poset,
-    poset_json_bytes,
-)
-from .ff import FFError, FieldSpec, field_create
-from .groups import FiniteGroup, GroupError, SubgroupEmbedding, group_from_json
-from .modules import module_from_json, module_to_json
-from .rings import DecompositionError, FieldNotSplittingError
+
+# Only the standard library loads above: a cache hit reads its inputs and
+# its entry and nothing else.  The numeric modules load on a miss, inside
+# the functions that compute.
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -56,16 +49,26 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
 class SessionConfig:
-    p: int
-    m: int | None = None  # None = splitting-field heuristic
-    group_order_cap: int = 10000
-    poset_node_cap: int = 512
-    cache_dir: str | None = None
-    seed: int = 20240801
+    def __init__(
+        self,
+        p: int,
+        m: int | None = None,  # None = splitting-field heuristic
+        group_order_cap: int = 10000,
+        poset_node_cap: int = 512,
+        cache_dir: str | None = None,
+        seed: int = 20240801,
+    ):
+        self.p = p
+        self.m = m
+        self.group_order_cap = group_order_cap
+        self.poset_node_cap = poset_node_cap
+        self.cache_dir = cache_dir
+        self.seed = seed
 
     def resolve_degree(self, groups) -> int:
+        from .algebra import splitting_field_degree
+
         if self.m is not None:
             return self.m
         return splitting_field_degree(self.p, groups)
@@ -109,24 +112,32 @@ class Cache:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def load(self, key: str) -> dict | None:
+    def load(self, key: str, fields) -> dict | None:
+        """The outputs stored under ``key``, or None for a miss: no entry, an
+        unreadable one, one written by another version or other sources, or
+        one whose outputs lack any of ``fields``."""
         if self.directory is None:
-            return None
-        path = self.directory / f"{key}.json"
-        if not path.exists():
             return None
         try:
-            entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            entry = json.loads((self.directory / f"{key}.json").read_text())
+        except (OSError, ValueError):
             return None
-        if entry.get("version") != __version__ or entry.get("source") != self.source:
+        if (
+            not isinstance(entry, dict)
+            or entry.get("version") != __version__
+            or entry.get("source") != self.source
+        ):
             return None
-        return entry.get("outputs")
+        outputs = entry.get("outputs")
+        if not isinstance(outputs, dict) or not all(f in outputs for f in fields):
+            return None
+        return outputs
 
     def store(self, key: str, outputs: dict):
+        """Store ``outputs`` under ``key``; a cache that cannot be written is
+        skipped, and the next run computes afresh."""
         if self.directory is None:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
         entry = {
             "version": __version__,
             "source": self.source,
@@ -134,14 +145,45 @@ class Cache:
             "outputs": outputs,
         }
         blob = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(blob)
-            os.replace(tmp, self.directory / f"{key}.json")
+            self.directory.mkdir(parents=True, exist_ok=True)
+            _replace_file(self.directory / f"{key}.json", blob.encode())
         except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            pass
+
+
+def _cached(config: SessionConfig, request: dict, fields, compute) -> dict:
+    """The outputs of ``request`` (a command and its inputs) under
+    ``config``: from the cache if it holds all of ``fields``, else from
+    ``compute()``, which is then stored."""
+    cache = Cache(config.cache_dir)
+    key = cache.key({**request, "config": config.to_json()})
+    outputs = cache.load(key, fields)
+    if outputs is None:
+        outputs = compute()
+        cache.store(key, outputs)
+    return outputs
+
+
+def _replace_file(path: Path, data: bytes):
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory, so that no reader sees a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _atomic_write(path: str, data: bytes):
+    try:
+        _replace_file(Path(path), data)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}", EXIT_PARSE) from e
 
 
 def _read_json_file(path: str):
@@ -154,25 +196,33 @@ def _read_json_file(path: str):
         raise CliError(f"invalid JSON in {path}: {e}", EXIT_PARSE) from e
 
 
-def _load_group(path: str, config: SessionConfig) -> tuple[FiniteGroup, dict]:
-    data = _read_json_file(path)
+def _read_group(path: str) -> dict:
+    """A group file as the cache key sees it: the raw JSON, and the name
+    that the outputs print (the file's stem)."""
+    return {"name": Path(path).stem, "data": _read_json_file(path)}
+
+
+def _build_group(path: str, group: dict, config: SessionConfig):
+    """The ``FiniteGroup`` of a group read by ``_read_group`` from ``path``."""
+    from .groups import GroupError, group_from_json
+
     try:
-        group = group_from_json(
-            data, name=Path(path).stem, order_cap=config.group_order_cap
+        return group_from_json(
+            group["data"], name=group["name"], order_cap=config.group_order_cap
         )
     except GroupError as e:
         if "cap" in str(e):
             raise CliError(str(e), EXIT_CAP) from e
         raise CliError(f"bad group file {path}: {e}", EXIT_PARSE) from e
-    return group, data
 
 
-def _session_algebra(
-    group: FiniteGroup, config: SessionConfig, field: FieldSpec | None = None
-) -> GroupAlgebra:
+def _session_algebra(group, config: SessionConfig, field=None):
     """The group algebra over the session field (by default the one the
     configuration resolves for this group), its registry seeded before it
     splits anything."""
+    from .algebra import GroupAlgebra
+    from .ff import field_create
+
     if field is None:
         field = field_create(config.p, config.resolve_degree([group]))
     algebra = GroupAlgebra(group, field)
@@ -180,115 +230,16 @@ def _session_algebra(
     return algebra
 
 
-def _embedding_algebras(
-    sub: FiniteGroup, amb: FiniteGroup, config: SessionConfig
-) -> tuple[GroupAlgebra, GroupAlgebra]:
+def _embedding_algebras(sub, amb, config: SessionConfig):
     """Algebras of the subgroup and the overgroup over the one field the
     overgroup resolves."""
     amb_alg = _session_algebra(amb, config)
     return _session_algebra(sub, config, amb_alg.field), amb_alg
 
 
-def _atomic_write(path: str, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _embedding_or_die(sub, amb, need_normal: bool):
+    from .groups import GroupError, SubgroupEmbedding
 
-
-def _field_json(field) -> dict:
-    return {"p": field.p, "m": field.m, "modulus": list(field.modulus)}
-
-
-# -- commands ----------------------------------------------------------------------
-
-
-def cmd_blocks(args, config: SessionConfig) -> int:
-    group, group_data = _load_group(args.group, config)
-    cache = Cache(config.cache_dir)
-    key = cache.key(
-        {"cmd": "blocks", "config": config.to_json(), "group": group_data}
-    )
-    outputs = cache.load(key)
-    if outputs is None:
-        algebra = _session_algebra(group, config)
-        blocks = algebra.blocks()
-        payload = {
-            "group": group.name,
-            "order": group.order,
-            "field": _field_json(algebra.field),
-            "count": len(blocks),
-            "blocks": [
-                {
-                    "index": b.index,
-                    "dim": b.dim,
-                    "principal": b.is_principal,
-                    "idempotent_support": [
-                        i for i, c in enumerate(b.idempotent) if c
-                    ],
-                }
-                for b in blocks
-            ],
-        }
-        outputs = {
-            "stdout": json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            + "\n"
-        }
-        cache.store(key, outputs)
-    sys.stdout.write(outputs["stdout"])
-    return EXIT_OK
-
-
-def cmd_stt(args, config: SessionConfig) -> int:
-    group, group_data = _load_group(args.group, config)
-    cache = Cache(config.cache_dir)
-    key = cache.key(
-        {
-            "cmd": "stt",
-            "config": config.to_json(),
-            "group": group_data,
-            "block": args.block,
-        }
-    )
-    outputs = cache.load(key)
-    if outputs is None:
-        algebra = _session_algebra(group, config)
-        block = None
-        if args.block is not None:
-            blocks = algebra.blocks()
-            if not 0 <= args.block < len(blocks):
-                raise CliError(
-                    f"block index {args.block} out of range ({len(blocks)} blocks)",
-                    EXIT_PARSE,
-                )
-            block = blocks[args.block]
-        ctx = TiltingContext(algebra, block)
-        try:
-            poset = enumerate_poset(ctx, node_cap=config.poset_node_cap)
-        except PosetCapExceeded as e:
-            raise CliError(f"{e} (no partial files written)", EXIT_CAP) from e
-        edge_word = "edge" if poset.n_edges == 1 else "edges"
-        outputs = {
-            "stdout": f"{poset.n_nodes} nodes, {poset.n_edges} {edge_word}\n",
-            "json": poset_json_bytes(poset).decode(),
-            "dot": poset.to_dot(),
-        }
-        cache.store(key, outputs)
-    if args.json:
-        _atomic_write(args.json, outputs["json"].encode())
-    if args.dot:
-        _atomic_write(args.dot, outputs["dot"].encode())
-    sys.stdout.write(outputs["stdout"])
-    return EXIT_OK
-
-
-def _embedding_or_die(sub: FiniteGroup, amb: FiniteGroup, need_normal: bool) -> SubgroupEmbedding:
     try:
         emb = SubgroupEmbedding(sub, amb)
     except GroupError as e:
@@ -298,118 +249,202 @@ def _embedding_or_die(sub: FiniteGroup, amb: FiniteGroup, need_normal: bool) -> 
     return emb
 
 
+def _field_json(field) -> dict:
+    return {"p": field.p, "m": field.m, "modulus": list(field.modulus)}
+
+
+def _json_line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# -- commands ----------------------------------------------------------------------
+
+
+def cmd_blocks(args, config: SessionConfig) -> int:
+    group_in = _read_group(args.group)
+    outputs = _cached(
+        config,
+        {"cmd": "blocks", "group": group_in},
+        ("stdout",),
+        lambda: _blocks_outputs(args, group_in, config),
+    )
+    sys.stdout.write(outputs["stdout"])
+    return EXIT_OK
+
+
+def _blocks_outputs(args, group_in: dict, config: SessionConfig) -> dict:
+    group = _build_group(args.group, group_in, config)
+    algebra = _session_algebra(group, config)
+    blocks = algebra.blocks()
+    payload = {
+        "group": group.name,
+        "order": group.order,
+        "field": _field_json(algebra.field),
+        "count": len(blocks),
+        "blocks": [
+            {
+                "index": b.index,
+                "dim": b.dim,
+                "principal": b.is_principal,
+                "idempotent_support": [i for i, c in enumerate(b.idempotent) if c],
+            }
+            for b in blocks
+        ],
+    }
+    return {"stdout": _json_line(payload)}
+
+
+def cmd_stt(args, config: SessionConfig) -> int:
+    group_in = _read_group(args.group)
+    outputs = _cached(
+        config,
+        {"cmd": "stt", "group": group_in, "block": args.block},
+        ("stdout", "json", "dot"),
+        lambda: _stt_outputs(args, group_in, config),
+    )
+    if args.json:
+        _atomic_write(args.json, outputs["json"].encode())
+    if args.dot:
+        _atomic_write(args.dot, outputs["dot"].encode())
+    sys.stdout.write(outputs["stdout"])
+    return EXIT_OK
+
+
+def _stt_outputs(args, group_in: dict, config: SessionConfig) -> dict:
+    from .engine import PosetCapExceeded, TiltingContext, enumerate_poset, poset_json_bytes
+
+    algebra = _session_algebra(_build_group(args.group, group_in, config), config)
+    block = None
+    if args.block is not None:
+        blocks = algebra.blocks()
+        if not 0 <= args.block < len(blocks):
+            raise CliError(
+                f"block index {args.block} out of range ({len(blocks)} blocks)",
+                EXIT_PARSE,
+            )
+        block = blocks[args.block]
+    ctx = TiltingContext(algebra, block)
+    try:
+        poset = enumerate_poset(ctx, node_cap=config.poset_node_cap)
+    except PosetCapExceeded as e:
+        raise CliError(f"{e} (no partial files written)", EXIT_CAP) from e
+    edge_word = "edge" if poset.n_edges == 1 else "edges"
+    return {
+        "stdout": f"{poset.n_nodes} nodes, {poset.n_edges} {edge_word}\n",
+        "json": poset_json_bytes(poset).decode(),
+        "dot": poset.to_dot(),
+    }
+
+
 def cmd_verify(args, config: SessionConfig) -> int:
+    sub_in = _read_group(args.sub)
+    amb_in = _read_group(args.amb)
+    wanted = set(args.theorems)
+    if "all" in wanted:
+        wanted = set(THEOREM_IDS[1:])
+    outputs = _cached(
+        config,
+        {"cmd": "verify", "sub": sub_in, "amb": amb_in, "theorems": sorted(wanted)},
+        ("stdout", "passed"),
+        lambda: _verify_outputs(args, sub_in, amb_in, wanted, config),
+    )
+    sys.stdout.write(outputs["stdout"])
+    return EXIT_OK if outputs["passed"] else EXIT_VERIFY
+
+
+def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: SessionConfig) -> dict:
     from .algebra import inertial_group
+    from .engine import PosetCapExceeded, TiltingContext, enumerate_poset
     from .functors import (
         InductionContext,
         verify_main_theorems,
         verify_syzygy_commutation,
     )
 
-    sub, sub_data = _load_group(args.sub, config)
-    amb, amb_data = _load_group(args.amb, config)
+    sub = _build_group(args.sub, sub_in, config)
+    amb = _build_group(args.amb, amb_in, config)
     emb = _embedding_or_die(sub, amb, need_normal=True)
-    wanted = set(args.theorems)
-    if "all" in wanted:
-        wanted = set(THEOREM_IDS[1:])
-    cache = Cache(config.cache_dir)
-    key = cache.key(
-        {
-            "cmd": "verify",
-            "config": config.to_json(),
-            "sub": sub_data,
-            "amb": amb_data,
-            "theorems": sorted(wanted),
-        }
-    )
-    outputs = cache.load(key)
-    if outputs is None:
-        sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
-        ictx = InductionContext(emb, sub_alg, amb_alg)
-        amb_ctx = TiltingContext(amb_alg)
+    sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
+    ictx = InductionContext(emb, sub_alg, amb_alg)
+    amb_ctx = TiltingContext(amb_alg)
+    try:
+        amb_poset = enumerate_poset(amb_ctx, node_cap=config.poset_node_cap)
+    except PosetCapExceeded as e:
+        raise CliError(str(e), EXIT_CAP) from e
+    block_reports = []
+    overall = True
+    clause_map = {
+        "T3.2": {"inductions_certify"},
+        "T3.3": {"covering_block_components_certify"},
+        "C3.4": {"order_preserved_and_reflected"},
+        "T3.6": {"order_preserved_and_reflected", "induced_map_injective"},
+        "P3.5": {"descent_matches"},
+    }
+    for block in sub_alg.blocks():
+        ctx = TiltingContext(sub_alg, block)
         try:
-            amb_poset = enumerate_poset(amb_ctx, node_cap=config.poset_node_cap)
+            poset = enumerate_poset(ctx, node_cap=config.poset_node_cap)
         except PosetCapExceeded as e:
             raise CliError(str(e), EXIT_CAP) from e
-        block_reports = []
-        overall = True
-        clause_map = {
-            "T3.2": {"inductions_certify"},
-            "T3.3": {"covering_block_components_certify"},
-            "C3.4": {"order_preserved_and_reflected"},
-            "T3.6": {"order_preserved_and_reflected", "induced_map_injective"},
-            "P3.5": {"descent_matches"},
+        inert = inertial_group(block, emb)
+        entry = {
+            "block": block.index,
+            "block_dim": block.dim,
+            "inertial_order": inert.order,
+            "poset": {"nodes": poset.n_nodes, "edges": poset.n_edges},
         }
-        for block in sub_alg.blocks():
-            ctx = TiltingContext(sub_alg, block)
-            try:
-                poset = enumerate_poset(ctx, node_cap=config.poset_node_cap)
-            except PosetCapExceeded as e:
-                raise CliError(str(e), EXIT_CAP) from e
-            inert = inertial_group(block, emb)
-            entry = {
-                "block": block.index,
-                "block_dim": block.dim,
-                "inertial_order": inert.order,
-                "poset": {"nodes": poset.n_nodes, "edges": poset.n_edges},
+        main = verify_main_theorems(ictx, block, poset, amb_ctx, amb_poset)
+        selected = set()
+        for tid in wanted & clause_map.keys():
+            selected |= clause_map[tid]
+        if selected:
+            informational = {"invariant_nodes_found", "induced_map_image"}
+            clauses = [
+                c
+                for c in main.clauses
+                if c.name in selected or c.name in informational
+            ]
+            entry["pipeline"] = {
+                "clauses": [c.to_json() for c in clauses],
+                "passed": all(c.passed for c in clauses),
             }
-            main = verify_main_theorems(ictx, block, poset, amb_ctx, amb_poset)
-            selected = set()
-            for tid in wanted & clause_map.keys():
-                selected |= clause_map[tid]
-            if selected:
-                informational = {"invariant_nodes_found", "induced_map_image"}
-                clauses = [
-                    c
-                    for c in main.clauses
-                    if c.name in selected or c.name in informational
-                ]
-                entry["pipeline"] = {
-                    "clauses": [c.to_json() for c in clauses],
-                    "passed": all(c.passed for c in clauses),
-                }
-                overall = overall and entry["pipeline"]["passed"]
-            if "L3.1" in wanted:
-                l31 = []
-                for node in main.invariant_nodes:
-                    rep = verify_syzygy_commutation(ictx, node.module(), inert)
-                    slim = rep.to_json()
-                    for c in slim["clauses"]:
-                        c["details"].pop("witness", None)
-                        c["details"].pop("witnesses", None)
-                    l31.append(slim)
-                    overall = overall and rep.passed
-                entry["L3.1"] = {
-                    "reports": l31,
-                    "passed": all(r["passed"] for r in l31),
-                }
-            block_reports.append(entry)
-        payload = {
-            "sub": sub.name,
-            "amb": amb.name,
-            "field": _field_json(amb_alg.field),
-            "normal": True,
-            "index": emb.n_cosets,
-            "coset_reps": [list(amb.elements[r]) for r in emb.coset_reps],
-            "theorems": sorted(wanted),
-            "blocks": block_reports,
-            "passed": overall,
-        }
-        outputs = {
-            "stdout": json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            + "\n",
-            "passed": overall,
-        }
-        cache.store(key, outputs)
-    sys.stdout.write(outputs["stdout"])
-    return EXIT_OK if outputs["passed"] else EXIT_VERIFY
+            overall = overall and entry["pipeline"]["passed"]
+        if "L3.1" in wanted:
+            l31 = []
+            for node in main.invariant_nodes:
+                rep = verify_syzygy_commutation(ictx, node.module(), inert)
+                slim = rep.to_json()
+                for c in slim["clauses"]:
+                    c["details"].pop("witness", None)
+                    c["details"].pop("witnesses", None)
+                l31.append(slim)
+                overall = overall and rep.passed
+            entry["L3.1"] = {
+                "reports": l31,
+                "passed": all(r["passed"] for r in l31),
+            }
+        block_reports.append(entry)
+    payload = {
+        "sub": sub.name,
+        "amb": amb.name,
+        "field": _field_json(amb_alg.field),
+        "normal": True,
+        "index": emb.n_cosets,
+        "coset_reps": [list(amb.elements[r]) for r in emb.coset_reps],
+        "theorems": sorted(wanted),
+        "blocks": block_reports,
+        "passed": overall,
+    }
+    return {"stdout": _json_line(payload), "passed": overall}
 
 
 def _embedded_module(args, config: SessionConfig, need_normal: bool):
     """The embedding of ``args.sub`` in ``args.amb``, the algebras of both
     groups and the module of ``args.module`` over the subgroup's algebra."""
-    sub, _ = _load_group(args.sub, config)
-    amb, _ = _load_group(args.amb, config)
+    from .modules import module_from_json
+
+    sub = _build_group(args.sub, _read_group(args.sub), config)
+    amb = _build_group(args.amb, _read_group(args.amb), config)
     emb = _embedding_or_die(sub, amb, need_normal=need_normal)
     module_data = _read_json_file(args.module)
     sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
@@ -422,12 +457,11 @@ def _embedded_module(args, config: SessionConfig, need_normal: bool):
 
 def cmd_induce(args, config: SessionConfig) -> int:
     from .functors import InductionContext, induce
+    from .modules import module_to_json
 
     emb, sub_alg, amb_alg, M = _embedded_module(args, config, need_normal=False)
     ind = induce(InductionContext(emb, sub_alg, amb_alg, require_normal=False), M)
-    blob = (
-        json.dumps(module_to_json(ind), sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    blob = _json_line(module_to_json(ind))
     if args.out:
         _atomic_write(args.out, blob.encode())
     else:
@@ -445,9 +479,7 @@ def cmd_mackey(args, config: SessionConfig) -> int:
     payload = witness.to_json()
     payload["module_dim"] = M.dim
     payload["index"] = emb.n_cosets
-    sys.stdout.write(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    sys.stdout.write(_json_line(payload))
     return EXIT_OK if witness.ok else EXIT_VERIFY
 
 
@@ -543,19 +575,35 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except FFError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except FieldNotSplittingError as e:
-        print(f"error: the field does not split the algebra ({e}); try a larger --m",
-              file=sys.stderr)
-        return EXIT_FIELD
-    except DecompositionError as e:
-        print(f"error: decomposition failed: {e}", file=sys.stderr)
-        return EXIT_DECOMPOSITION
-    except EngineError as e:
-        print(f"error: internal inconsistency: {e}", file=sys.stderr)
-        return EXIT_ENGINE
+    except Exception as e:
+        failure = _failure(e)
+        if failure is None:
+            raise
+        code, message = failure
+        print(f"error: {message}", file=sys.stderr)
+        return code
+
+
+def _failure(exc: Exception) -> tuple[int, str] | None:
+    """The exit code and message of a failure in the numeric modules, or
+    None for any other exception.  The classes are imported here, not at
+    the top: a cache hit raises none of them, and a run that computed has
+    loaded their modules already."""
+    from .engine import EngineError
+    from .ff import FFError
+    from .rings import DecompositionError, FieldNotSplittingError
+
+    failures = (
+        (FFError, EXIT_PARSE, "{}"),
+        (FieldNotSplittingError, EXIT_FIELD,
+         "the field does not split the algebra ({}); try a larger --m"),
+        (DecompositionError, EXIT_DECOMPOSITION, "decomposition failed: {}"),
+        (EngineError, EXIT_ENGINE, "internal inconsistency: {}"),
+    )
+    for cls, code, message in failures:
+        if isinstance(exc, cls):
+            return code, message.format(exc)
+    return None
 
 
 if __name__ == "__main__":

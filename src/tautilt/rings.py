@@ -270,14 +270,17 @@ def find_splitting_idempotent(
         d = m.data
         return bool((d == d[0, 0] * np.eye(n, dtype=_CODE_DTYPE)).all())
 
-    # stage 1: direct coprime splits on cheap candidates
-    candidates = [b for b in basis if not scalar(b)]
-    for i in range(min(len(basis), 8)):
-        for j in range(min(len(basis), 8)):
-            prod = basis[i] @ basis[j]
-            if not scalar(prod) and not prod.is_zero():
-                candidates.append(prod)
-    for x in candidates:
+    # stage 1: direct coprime splits on cheap candidates, made one at a time:
+    # the first one usually splits, and then no product is needed
+    def candidates():
+        yield from (b for b in basis if not scalar(b))
+        for i in range(min(len(basis), 8)):
+            for j in range(min(len(basis), 8)):
+                prod = basis[i] @ basis[j]
+                if not scalar(prod) and not prod.is_zero():
+                    yield prod
+
+    for x in candidates():
         e = _coprime_split_idempotent(x)
         if e is not None:
             return e

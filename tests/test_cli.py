@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tautilt
-from tautilt import cli
+from tautilt import engine
 from tautilt.cli import main
 from tautilt.engine import CriteriaDisagree, EngineError
 from tautilt.rings import DecompositionError
@@ -204,7 +204,7 @@ def test_stt_failure_exit_codes(group_files, capsys, monkeypatch, exc, code):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "enumerate_poset", fail)
+    monkeypatch.setattr(engine, "enumerate_poset", fail)
     got, out, err = run(capsys, ["stt", group_files["C2"], "--p", "2", "--no-cache"])
     assert got == code
     assert out == ""
@@ -490,3 +490,169 @@ def test_import_sets_one_blas_thread_unless_the_user_chose(preset):
         [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True
     ).stdout
     assert out.split() == [preset or "1", "1", "1"]
+
+
+def _rename(path, name):
+    """A copy of the group file ``path`` under another name, same bytes."""
+    copy = Path(path).parent / f"{name}.json"
+    shutil.copyfile(path, copy)
+    return str(copy)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["blocks", "S3", "--p", "3"],
+        ["stt", "S3", "--p", "2", "--json", "OUT"],
+        ["verify", "C3", "S3", "--p", "3"],
+    ],
+)
+def test_hit_bytes_follow_the_group_name(group_files, capsys, tmp_path, command):
+    """The outputs print each group's name, the stem of its file.  A copy of
+    a group file under another name hit the entry of the original and
+    printed the old name."""
+    cache = str(tmp_path / "cache")
+
+    def outputs(names, cache_args):
+        out_file = tmp_path / "out.json"
+        out_file.unlink(missing_ok=True)
+        argv = [
+            _rename(group_files[a], names[a]) if a in names
+            else str(out_file) if a == "OUT"
+            else group_files.get(a, a)
+            for a in command
+        ]
+        code, out, _ = run(capsys, argv + cache_args)
+        return code, out, out_file.read_bytes() if "OUT" in command else None
+
+    renames = {name: renamed for name, renamed in (("S3", "Sym3"), ("C3", "Cyc3")) if name in command}
+    first = outputs({}, ["--cache-dir", cache])
+    hit = outputs(renames, ["--cache-dir", cache])
+    fresh = outputs(renames, ["--no-cache"])
+    assert first[0] == hit[0] == fresh[0] == 0
+    assert hit == fresh
+    assert hit != first
+
+
+@pytest.mark.parametrize("option", ["--json", "--dot", "--out"])
+def test_unwritable_output_is_a_parse_error(group_files, capsys, tmp_path, option):
+    """An output file in a missing directory ended in a FileNotFoundError
+    traceback and exit 1, after the whole computation."""
+    target = tmp_path / "missing" / "x.out"
+    if option == "--out":
+        module = {
+            "field": {"p": 2, "m": 1, "modulus": [1, 1]},
+            "group": json.loads(open(group_files["C3"]).read()),
+            "dim": 1,
+            "generator_matrices": [[1]],
+        }
+        mod_file = tmp_path / "mod.json"
+        mod_file.write_text(json.dumps(module))
+        argv = ["induce", group_files["C3"], group_files["S3"], "--p", "2", "--m", "1",
+                "--module", str(mod_file)]
+    else:
+        argv = ["stt", group_files["S3"], "--p", "2"]
+    code, out, err = run(capsys, argv + [option, str(target), "--no-cache"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_unwritable_cache_dir_skips_the_store(group_files, capsys, tmp_path):
+    """A cache directory that cannot be made (here, below a plain file) ended
+    in a traceback after a successful run; now the run prints its output."""
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    argv = ["blocks", group_files["S3"], "--p", "3"]
+    fresh = run(capsys, argv + ["--no-cache"])
+    assert run(capsys, argv + ["--cache-dir", str(blocker / "cache")]) == fresh
+    assert fresh[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        (["blocks", "C2", "--p", "2"], "stdout"),
+        (["stt", "C2", "--p", "2", "--json", "OUT"], "json"),
+        (["stt", "C2", "--p", "2", "--dot", "OUT"], "dot"),
+        (["verify", "C3", "S3", "--p", "3"], "passed"),
+    ],
+)
+def test_cache_entry_missing_an_output_is_a_miss(group_files, capsys, tmp_path, command, field):
+    """An entry whose outputs lack one that the command reads ended in a
+    KeyError traceback; now it is recomputed."""
+    cache = tmp_path / "cache"
+    out_file = tmp_path / "out"
+    argv = [group_files.get(a, a) for a in command]
+    argv = [str(out_file) if a == "OUT" else a for a in argv] + ["--cache-dir", str(cache)]
+
+    def result():
+        code, out, err = run(capsys, argv)
+        return code, out, err, out_file.read_bytes() if "OUT" in command else None
+
+    fresh = result()
+    assert fresh[0] == 0
+    (entry,) = cache.glob("*.json")
+    data = json.loads(entry.read_text())
+    del data["outputs"][field]
+    entry.write_text(json.dumps(data))
+    assert result() == fresh
+    assert field in json.loads(entry.read_text())["outputs"]
+
+
+def _python(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(tautilt.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True
+    ).stdout
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    code = "import sys, tautilt, tautilt.cli; print('numpy' in sys.modules)"
+    assert _python(code) == "False\n"
+
+
+def test_every_export_resolves():
+    """The package resolves its exports on first use; each name in
+    ``__all__`` is there, and ``from tautilt import *`` binds them all."""
+    for name in tautilt.__all__:
+        assert getattr(tautilt, name) is not None
+    namespace = {}
+    exec("from tautilt import *", namespace)
+    assert set(tautilt.__all__) <= namespace.keys()
+    assert namespace["FFMatrix"].__module__ == "tautilt.ff"
+    with pytest.raises(AttributeError):
+        tautilt.no_such_name
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["blocks", "S3", "--p", "3"],
+        ["stt", "S3", "--p", "2", "--json", "OUT"],
+        ["verify", "C3", "S3", "--p", "3"],
+    ],
+)
+def test_cache_hit_loads_no_numpy(group_files, capsys, tmp_path, command):
+    """A hit reads its inputs and its entry: it gives the bytes of the cold
+    run and ends without numpy loaded."""
+    out_file = tmp_path / "out.json"
+    argv = [group_files.get(a, a) for a in command]
+    argv = [str(out_file) if a == "OUT" else a for a in argv]
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    code, cold, _ = run(capsys, argv)
+    assert code == 0
+    cold_file = out_file.read_bytes() if "OUT" in command else None
+    out_file.unlink(missing_ok=True)
+    hit = _python(
+        "import contextlib, io, sys\n"
+        "from tautilt.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    assert hit == "0 False\n" + cold
+    if cold_file is not None:
+        assert out_file.read_bytes() == cold_file
