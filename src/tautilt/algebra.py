@@ -61,8 +61,7 @@ class GroupAlgebra:
     @property
     def registry(self):
         """The ModuleRegistry of this algebra, which owns every memoised
-        fact about its modules.  Built with the default seed on first use,
-        unless ``ModuleRegistry(algebra, seed=...)`` was called before."""
+        fact about its modules, built on first use."""
         if self._registry is None:
             from .modules import ModuleRegistry
 

@@ -57,14 +57,12 @@ class SessionConfig:
         group_order_cap: int = 10000,
         poset_node_cap: int = 512,
         cache_dir: str | None = None,
-        seed: int = 20240801,
     ):
         self.p = p
         self.m = m
         self.group_order_cap = group_order_cap
         self.poset_node_cap = poset_node_cap
         self.cache_dir = cache_dir
-        self.seed = seed
 
     def resolve_degree(self, groups) -> int:
         from .algebra import splitting_field_degree
@@ -79,7 +77,6 @@ class SessionConfig:
             "m": self.m,
             "group_order_cap": self.group_order_cap,
             "poset_node_cap": self.poset_node_cap,
-            "seed": self.seed,
         }
 
 
@@ -192,7 +189,7 @@ def _read_json_file(path: str):
             return json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}", EXIT_PARSE) from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CliError(f"invalid JSON in {path}: {e}", EXIT_PARSE) from e
 
 
@@ -218,16 +215,13 @@ def _build_group(path: str, group: dict, config: SessionConfig):
 
 def _session_algebra(group, config: SessionConfig, field=None):
     """The group algebra over the session field (by default the one the
-    configuration resolves for this group), its registry seeded before it
-    splits anything."""
+    configuration resolves for this group)."""
     from .algebra import GroupAlgebra
     from .ff import field_create
 
     if field is None:
         field = field_create(config.p, config.resolve_degree([group]))
-    algebra = GroupAlgebra(group, field)
-    algebra.registry.seed = config.seed
-    return algebra
+    return GroupAlgebra(group, field)
 
 
 def _embedding_algebras(sub, amb, config: SessionConfig):
@@ -353,7 +347,6 @@ def cmd_verify(args, config: SessionConfig) -> int:
 
 
 def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: SessionConfig) -> dict:
-    from .algebra import inertial_group
     from .engine import PosetCapExceeded, TiltingContext, enumerate_poset
     from .functors import (
         InductionContext,
@@ -386,14 +379,13 @@ def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: Sessi
             poset = enumerate_poset(ctx, node_cap=config.poset_node_cap)
         except PosetCapExceeded as e:
             raise CliError(str(e), EXIT_CAP) from e
-        inert = inertial_group(block, emb)
+        main = verify_main_theorems(ictx, block, poset, amb_ctx, amb_poset)
         entry = {
             "block": block.index,
             "block_dim": block.dim,
-            "inertial_order": inert.order,
+            "inertial_order": main.inertial.order,
             "poset": {"nodes": poset.n_nodes, "edges": poset.n_edges},
         }
-        main = verify_main_theorems(ictx, block, poset, amb_ctx, amb_poset)
         selected = set()
         for tid in wanted & clause_map.keys():
             selected |= clause_map[tid]
@@ -412,7 +404,7 @@ def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: Sessi
         if "L3.1" in wanted:
             l31 = []
             for node in main.invariant_nodes:
-                rep = verify_syzygy_commutation(ictx, node.module(), inert)
+                rep = verify_syzygy_commutation(ictx, node.module(), main.inertial)
                 slim = rep.to_json()
                 for c in slim["clauses"]:
                     c["details"].pop("witness", None)
@@ -504,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--order-cap", type=int, default=10000)
         p.add_argument("--node-cap", type=int, default=512)
-        p.add_argument("--seed", type=int, default=20240801)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
 
@@ -547,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> SessionConfig:
-    if args.seed < 0:
-        raise CliError(f"--seed must be a non-negative integer, got {args.seed}", EXIT_PARSE)
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     return SessionConfig(
         p=args.p,
@@ -556,7 +545,6 @@ def config_from_args(args) -> SessionConfig:
         group_order_cap=args.order_cap,
         poset_node_cap=args.node_cap,
         cache_dir=cache_dir,
-        seed=args.seed,
     )
 
 

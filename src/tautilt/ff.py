@@ -374,14 +374,6 @@ class FFMatrix:
     def transpose(self) -> "FFMatrix":
         return FFMatrix._trusted(self.field, self.data.T)
 
-    def kron(self, other: "FFMatrix") -> "FFMatrix":
-        """Kronecker product (self tensor other)."""
-        f = self.field
-        a, b = self.data, other.data
-        out = f.mul_table[a[:, None, :, None], b[None, :, None, :]]
-        out = out.reshape(self.rows * other.rows, self.cols * other.cols)
-        return FFMatrix._trusted(f, out)
-
     def hstack(self, *others: "FFMatrix") -> "FFMatrix":
         """Self and the others side by side, copied once."""
         return FFMatrix._trusted(self.field, np.hstack([self.data, *(o.data for o in others)]))

@@ -34,7 +34,6 @@ from .modules import (
     direct_sum,
     hom_basis,
     is_isomorphic,
-    lies_in_block,
     zero_module,
 )
 
@@ -228,20 +227,10 @@ def _iso_clause(name: str, A: RepModule, B: RepModule) -> ClauseResult:
 def _twist_clause(
     ctx, name: str, M: RepModule, inertial: InertialGroup | None
 ) -> ClauseResult:
-    """All nontrivial twists over the (inertial) coset representatives fix
-    M, with one witness per representative."""
-    emb = ctx.emb
-    reps = inertial.stable_coset_reps if inertial is not None else emb.coset_reps
-    witnesses = {}
-    ok = True
-    for r in reps:
-        if r == emb.amb.identity:
-            continue
-        good, w = is_isomorphic(twist(ctx, r, M), M)
-        ok = ok and good
-        if good and w is not None:
-            witnesses[str(r)] = w.entries()
-    return ClauseResult(name, ok, {"dim": M.dim, "witnesses": witnesses})
+    """``is_invariant`` as a clause, with its witness per representative."""
+    ok, witnesses = is_invariant(ctx, M, inertial)
+    details = {"dim": M.dim, "witnesses": {str(r): w.entries() for r, w in witnesses.items()}}
+    return ClauseResult(name, ok, details)
 
 
 def verify_syzygy_commutation(
@@ -273,38 +262,17 @@ def verify_syzygy_commutation(
     )
 
 
-def verify_covering_block_sum(
-    ctx_to_inertial: InductionContext, B: Block, M: RepModule
-) -> TheoremReport:
-    """Check that the induction of a block module up to the inertial group
-    splits into pieces lying in blocks covering the original one."""
-    if M.dim and not lies_in_block(M, B):
-        raise FunctorError("module does not lie in the stated block")
-    ind = induce(ctx_to_inertial, M)
-    clauses = []
-    for bi in ctx_to_inertial.target.blocks():
-        comp, _ = block_component(ind, bi)
-        if comp.dim == 0:
-            continue
-        cov = covers(bi, B, ctx_to_inertial.emb)
-        clauses.append(
-            ClauseResult(
-                f"component_in_covering_block_{bi.index}",
-                cov,
-                {"component_dim": comp.dim, "block_dim": bi.dim},
-            )
-        )
-    if not clauses:
-        clauses.append(ClauseResult("vacuous_zero_module", True, {}))
-    return TheoremReport("P2.11.1", {"module_dim": M.dim}, clauses)
-
-
 @dataclass
 class InvariantNodeImage:
     node: STauTiltPair
     image: STauTiltPair
     certified: bool
-    block_certified: dict[int, bool]
+
+
+def _certified_pair(ctx: TiltingContext, M: RepModule) -> STauTiltPair:
+    """The pair of M over ctx, with the support its certificate finds."""
+    pair = pair_from_modules(ctx, M)
+    return STauTiltPair(ctx, pair.m_ids, certify_support_tau_tilting(pair).support_pims)
 
 
 def verify_main_theorems(
@@ -322,7 +290,10 @@ def verify_main_theorems(
     reflection on all invariant pairs (C3.4, T3.6); (iv) re-derive each
     node's certification from its induction through the restriction side
     (P3.5); (v) report injectivity of the induced map and, when the target
-    poset is supplied, surjectivity onto it."""
+    poset is supplied, surjectivity onto it.
+
+    The report also carries the block's ``inertial`` group and its
+    ``invariant_nodes``."""
     source_ctx = poset.ctx
     inert = inertial_group(B, ctx.emb)
     clauses = []
@@ -347,28 +318,15 @@ def verify_main_theorems(
     block_certified_all = True
     for node in invariant_nodes:
         ind = induce(ctx, node.module())
-        img_pair = pair_from_modules(target_ctx, ind)
-        img_pair = STauTiltPair(
-            target_ctx,
-            img_pair.m_ids,
-            certify_support_tau_tilting(img_pair).support_pims,
-        )
+        img_pair = _certified_pair(target_ctx, ind)
         cert = certify_support_tau_tilting(img_pair)
         all_certified = all_certified and cert.valid
-        per_block = {}
         for bt in covering:
-            bctx = TiltingContext(target_ctx.algebra, bt)
             comp, _ = block_component(ind, bt)
-            bpair = pair_from_modules(bctx, comp)
-            bpair = STauTiltPair(
-                bctx,
-                bpair.m_ids,
-                certify_support_tau_tilting(bpair).support_pims,
-            )
+            bpair = _certified_pair(TiltingContext(target_ctx.algebra, bt), comp)
             bcert = certify_support_tau_tilting(bpair)
-            per_block[bt.index] = bcert.valid
             block_certified_all = block_certified_all and bcert.valid
-        images.append(InvariantNodeImage(node, img_pair, cert.valid, per_block))
+        images.append(InvariantNodeImage(node, img_pair, cert.valid))
     clauses.append(
         ClauseResult(
             "inductions_certify",
@@ -441,40 +399,6 @@ def verify_main_theorems(
         },
         clauses,
     )
-    report.images = images
+    report.inertial = inert
     report.invariant_nodes = invariant_nodes
     return report
-
-
-# -- direct product helper (fixture family) ---------------------------------------
-
-
-def tensor_with_regular(
-    ctx: InductionContext, second_factor_gens: list[int], M: RepModule
-) -> RepModule:
-    """The outer tensor of M with the regular module of the second direct
-    factor, as a module over the product group.
-
-    second_factor_gens: generator positions of the product group that come
-    from the second factor (the rest must come from the first, matching
-    M's algebra generators in order)."""
-    target = ctx.target
-    field = target.field
-    emb = ctx.emb
-    n = emb.n_cosets
-    mats = []
-    first_pos = 0
-    for pos, gi in enumerate(target.group.gen_indices):
-        if pos in second_factor_gens:
-            # permutation of cosets tensor identity on M
-            action = ctx._coset_action(gi)
-            perm = np.zeros((n, n), dtype=_CODE_DTYPE)
-            for i, (sigma_i, h) in enumerate(action):
-                perm[sigma_i, i] = 1
-            mats.append(FFMatrix._trusted(field, perm).kron(FFMatrix.identity(field, M.dim)))
-        else:
-            mats.append(
-                FFMatrix.identity(field, n).kron(M.gen_mats[first_pos])
-            )
-            first_pos += 1
-    return RepModule(target, mats)

@@ -276,54 +276,6 @@ class SubgroupEmbedding:
         return f"SubgroupEmbedding({self.sub.name} <= {self.amb.name}, {flag})"
 
 
-# -- standard constructions ------------------------------------------------
-
-
-def cyclic_group(n: int, degree: int | None = None) -> FiniteGroup:
-    degree = degree or n
-    gen = perm_from_cycles([[i + 1 for i in range(n)]], degree)
-    return FiniteGroup.from_generators([gen], name=f"C{n}")
-
-
-def symmetric_group(n: int) -> FiniteGroup:
-    gens = [perm_from_cycles([[1, 2]], n)]
-    if n > 2:
-        gens.append(perm_from_cycles([list(range(1, n + 1))], n))
-    return FiniteGroup.from_generators(gens, name=f"S{n}")
-
-
-def alternating_group(n: int) -> FiniteGroup:
-    if n < 3:
-        raise GroupError("alternating group needs degree >= 3")
-    gens = [perm_from_cycles([[1, 2, 3]], n)]
-    if n > 3:
-        if n % 2:
-            gens.append(perm_from_cycles([list(range(1, n + 1))], n))
-        else:
-            gens.append(perm_from_cycles([list(range(2, n + 1))], n))
-    return FiniteGroup.from_generators(gens, name=f"A{n}")
-
-
-def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> tuple[FiniteGroup, SubgroupEmbedding, SubgroupEmbedding]:
-    """G1 x G2 acting on the disjoint union of points, with the two factor
-    embeddings."""
-    d1, d2 = g1.degree, g2.degree
-
-    def lift1(p: Perm) -> Perm:
-        return tuple(p) + tuple(d1 + i for i in range(d2))
-
-    def lift2(p: Perm) -> Perm:
-        return tuple(range(d1)) + tuple(d1 + x for x in p)
-
-    gens = [lift1(g) for g in g1.generators] + [lift2(g) for g in g2.generators]
-    prod = FiniteGroup.from_generators(
-        gens, name=f"{g1.name}x{g2.name}", order_cap=max(10000, g1.order * g2.order)
-    )
-    sub1 = FiniteGroup.from_generators([lift1(g) for g in g1.generators], name=g1.name)
-    sub2 = FiniteGroup.from_generators([lift2(g) for g in g2.generators], name=g2.name)
-    return prod, SubgroupEmbedding(sub1, prod), SubgroupEmbedding(sub2, prod)
-
-
 # -- JSON I/O ----------------------------------------------------------------
 
 

@@ -1,18 +1,16 @@
 """Homological operations: radicals, projective covers, syzygies, the AR
-translate (two independent pipelines), duals and minimal approximations.
+translate, duals and minimal approximations.
 
 Group algebras are symmetric, so the translate is the double syzygy on
-projective-free parts; the independent construction, which the tests
-compare with it up to isomorphism, runs the Nakayama functor (dual of the
-hom-into-the-algebra functor) on a minimal presentation.
+projective-free parts; the tests compare it, up to isomorphism, with the
+Nakayama functor (dual of the hom-into-the-algebra functor) run on a
+minimal presentation.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import rings
-from .ff import _CODE_DTYPE, FFMatrix
+from .ff import FFMatrix
 from .modules import (
     ModuleRegistry,
     RepModule,
@@ -20,7 +18,6 @@ from .modules import (
     direct_sum,
     hom_basis,
     quotient_module,
-    regular_module,
     submodule,
     zero_module,
 )
@@ -36,11 +33,6 @@ def radical_submodule_basis(M: RepModule) -> FFMatrix:
     mats = M.apply_algebra_vectors(M.algebra.radical_vectors())
     columns = mats.transpose(1, 0, 2).reshape(M.dim, len(mats) * M.dim)
     return FFMatrix._trusted(M.field, columns).column_space_basis()
-
-
-def radical(M: RepModule) -> tuple[RepModule, FFMatrix]:
-    """(rad M, inclusion)."""
-    return submodule(M, radical_submodule_basis(M))
 
 
 def top(M: RepModule) -> tuple[RepModule, FFMatrix]:
@@ -149,7 +141,7 @@ def strip_projectives(M: RepModule) -> tuple[RepModule, RepModule]:
 
 def tau(M: RepModule) -> RepModule:
     """Auslander-Reiten translate: double syzygy of the projective-free
-    part.  ``nakayama_tau`` is the independent construction."""
+    part."""
     registry = M.algebra.registry
     core, _ = strip_projectives(M)
     if core.dim == 0:
@@ -168,54 +160,6 @@ def tau_indec_cached(registry: ModuleRegistry, pid: int) -> RepModule:
         return syzygy_module(syzygy_module(registry.module(pid)))
 
     return registry.memo("tau", pid, compute)
-
-
-# -- Nakayama construction ------------------------------------------------------
-
-
-def _right_mult_matrix(algebra, elt_idx: int) -> FFMatrix:
-    mat = np.zeros((algebra.dim, algebra.dim), dtype=_CODE_DTYPE)
-    mat[algebra.group.table[:, elt_idx], np.arange(algebra.dim)] = 1
-    return FFMatrix._trusted(algebra.field, mat)
-
-
-def nu_of_projective(P: RepModule) -> tuple[RepModule, list[FFMatrix]]:
-    """Nakayama image of a projective: the dual of Hom(P, Lambda).
-
-    Returns (nu P, hom basis of Hom(P, Lambda) fixing the coordinates)."""
-    algebra = P.algebra
-    reg = regular_module(algebra)
-    basis = rings.reduce_span(P.field, hom_basis(P, reg))
-    if not basis:
-        return zero_module(algebra), []
-    # right action of a generator g on Hom(P, Lambda): f |-> (x -> f(x) g)
-    gen_mats = []
-    for gi in algebra.group.gen_indices:
-        Rg = _right_mult_matrix(algebra, gi)
-        C = rings.in_span(P.field, basis, [Rg @ f for f in basis])
-        if C is None:
-            raise AssertionError("right action left the hom space")
-        gen_mats.append(C.transpose())  # dual of a right module is a left module
-    return RepModule(algebra, gen_mats), basis
-
-
-def nakayama_tau(M: RepModule) -> RepModule:
-    """The translate as the kernel of nu(d) for a minimal presentation
-    P1 -d-> P0 of the projective-free part of M."""
-    core, _ = strip_projectives(M)
-    if core.dim == 0:
-        return zero_module(M.algebra)
-    P1, P0, d = minimal_presentation(core)
-    nu1, basis1 = nu_of_projective(P1)
-    nu0, basis0 = nu_of_projective(P0)
-    # Hom(d, Lambda): Hom(P0, L) -> Hom(P1, L), f -> f d; nu(d) is its dual
-    H = rings.in_span(M.field, basis1, [f @ d for f in basis0])  # (s1, s0)
-    if H is None:
-        raise AssertionError("hom functor image left the hom space")
-    nud = H.transpose()  # nu P1 -> nu P0
-    ker = nud.nullspace()
-    out, _ = submodule(nu1, ker)
-    return out
 
 
 # -- duals ----------------------------------------------------------------------
@@ -316,18 +260,6 @@ def cokernel(f: FFMatrix, target: RepModule) -> tuple[RepModule, FFMatrix]:
     """(coker f, projection) for a module map into target."""
     img = f.column_space_basis()
     return quotient_module(target, img)
-
-
-# -- Cartan data -----------------------------------------------------------------
-
-
-def cartan_matrix(registry: ModuleRegistry) -> list[list[int]]:
-    """C[i][j] = multiplicity of simple i in PIM j = dim Hom(P_i, P_j)."""
-    pims = registry.pim_ids()
-    return [
-        [registry.hom_dim_ids(pi, pj) for pj in pims]
-        for pi in pims
-    ]
 
 
 def _iso_witness_strict(A: RepModule, B: RepModule) -> FFMatrix:

@@ -180,17 +180,6 @@ def submodule(M: RepModule, basis: FFMatrix) -> tuple[RepModule, FFMatrix]:
     return sub, basis
 
 
-def spanned_submodule(M: RepModule, vectors: FFMatrix) -> tuple[RepModule, FFMatrix]:
-    """Submodule generated by arbitrary column vectors: close under the
-    generator actions, then reduce to a basis."""
-    span = vectors
-    while True:
-        reduced = span.hstack(*[g @ span for g in M.gen_mats]).column_space_basis()
-        if reduced.cols == span.cols:
-            return submodule(M, reduced)
-        span = reduced
-
-
 def quotient_module(M: RepModule, sub_basis: FFMatrix) -> tuple[RepModule, FFMatrix]:
     """The quotient by the invariant subspace spanned by ``sub_basis``;
     returns (module, projection matrix)."""
@@ -281,10 +270,6 @@ def _hom_from_regular_summand(M: RepModule, N: RepModule) -> list[FFMatrix]:
     columns = N.actions.transpose(2, 1, 0).reshape(d * d, n)  # [j d + a, g] = A_g[a, j]
     maps = _matmul(N.field, columns, M.lambda_inclusion.data).reshape(d, d, M.dim)
     return [FFMatrix._trusted(N.field, h) for h in maps]
-
-
-def hom_dim(M: RepModule, N: RepModule) -> int:
-    return len(hom_basis(M, N))
 
 
 def end_basis(M: RepModule) -> list[FFMatrix]:
@@ -400,9 +385,8 @@ class ModuleRegistry:
     module content, registry ids, pair keys and block indices (None for
     the whole algebra), never object identities."""
 
-    def __init__(self, algebra: GroupAlgebra, seed: int = 20240801):
+    def __init__(self, algebra: GroupAlgebra):
         self.algebra = algebra
-        self.seed = seed
         self.entries: list[RepModule] = []
         self._fingerprints: list[tuple] = []
         self._by_fingerprint: dict[tuple, list[int]] = {}
@@ -513,7 +497,7 @@ class ModuleRegistry:
             e = self.memo(
                 "idempotent",
                 key,
-                lambda: rings.find_splitting_idempotent(X.field, self._end(X), seed=self.seed),
+                lambda: rings.find_splitting_idempotent(X.field, self._end(X)),
             )
             if e is None:
                 parts.append((X, inc))

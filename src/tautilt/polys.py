@@ -248,13 +248,6 @@ def factor(F: FieldSpec, f: Poly) -> list[tuple[Poly, int]]:
     return sorted(merged.items(), key=lambda km: (degree(km[0]), km[0]))
 
 
-def is_irreducible(F: FieldSpec, f: Poly) -> bool:
-    if degree(f) < 1:
-        return False
-    fs = factor(F, f)
-    return len(fs) == 1 and fs[0][1] == 1
-
-
 def crt_idempotent_coeffs(F: FieldSpec, f: Poly, part: Poly) -> Poly:
     """For a monic f = part * rest with gcd(part, rest) = 1: the polynomial
     e of degree < deg f with e = 0 mod part and e = 1 mod rest."""

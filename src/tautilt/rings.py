@@ -253,9 +253,17 @@ class QuotientAlgebra:
     def lift(self, coords) -> FFMatrix:
         return combine(self.field, coords, self.lifts)
 
-def find_splitting_idempotent(
-    field: FieldSpec, end_basis: list[FFMatrix], seed: int = 20240801, max_tries: int = 400
-):
+
+# The random elements that stage 2 of ``find_splitting_idempotent`` tries
+# after the unit vectors of the quotient: their generator's seed, and how
+# many.  They are reached only on quotients that no unit vector splits
+# (some 4-dimensional quotients over GF(2)); there the seed picks the
+# idempotent, and so the bases that results are computed in.
+SPLITTING_SEED = 20240801
+SPLITTING_TRIES = 400
+
+
+def find_splitting_idempotent(field: FieldSpec, end_basis: list[FFMatrix]):
     """Either a proper idempotent of the algebra spanned by ``end_basis``
     (an endomorphism algebra, acting faithfully), or None if the algebra is
     local.  Raises FieldNotSplittingError when the residue division ring is
@@ -290,7 +298,7 @@ def find_splitting_idempotent(
     if len(basis) - len(rad) == 1:
         return None
     Q = QuotientAlgebra(field, basis, rad)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SPLITTING_SEED)
 
     def try_coords(coords):
         R = Q.regular_matrix(coords)
@@ -315,14 +323,14 @@ def find_splitting_idempotent(
 
     unit_basis = [list(c) for c in np.eye(Q.dim, dtype=int).tolist()]
     pool = unit_basis + [
-        [int(a) for a in rng.integers(0, field.q, size=Q.dim)] for _ in range(max_tries)
+        [int(a) for a in rng.integers(0, field.q, size=Q.dim)] for _ in range(SPLITTING_TRIES)
     ]
     for coords in pool:
         out = try_coords(coords)
         if out is not None:
             return out
     raise DecompositionError(
-        f"no splitting idempotent found in {max_tries} tries (dim quotient {Q.dim})"
+        f"no splitting idempotent found in {SPLITTING_TRIES} tries (dim quotient {Q.dim})"
     )
 
 

@@ -1,15 +1,9 @@
 import pytest
 
+from corpus import alternating_group, cyclic_group, symmetric_group
 from tautilt.algebra import GroupAlgebra, splitting_field
 from tautilt.ff import field_create
-from tautilt.groups import (
-    SubgroupEmbedding,
-    alternating_group,
-    cyclic_group,
-    group_from_generators,
-    perm_from_cycles,
-    symmetric_group,
-)
+from tautilt.groups import SubgroupEmbedding, group_from_generators, perm_from_cycles
 from tautilt.modules import ModuleRegistry
 
 

@@ -1,18 +1,87 @@
 """Deterministic groups, module corpus and random base changes shared by
-the suites."""
+the suites: the standard permutation groups, direct products, and the
+submodule and radical builders the suites make test modules with."""
 
 import functools
 
 from tautilt import homalg
 from tautilt.ff import FFMatrix
 from tautilt.groups import (
-    alternating_group,
-    cyclic_group,
-    direct_product,
+    FiniteGroup,
+    GroupError,
+    Perm,
+    SubgroupEmbedding,
     group_from_generators,
-    symmetric_group,
+    perm_from_cycles,
 )
-from tautilt.modules import direct_sum, regular_module, trivial_module
+from tautilt.modules import RepModule, direct_sum, regular_module, submodule, trivial_module
+
+
+# -- standard constructions ------------------------------------------------
+
+
+def cyclic_group(n: int, degree: int | None = None) -> FiniteGroup:
+    degree = degree or n
+    gen = perm_from_cycles([[i + 1 for i in range(n)]], degree)
+    return FiniteGroup.from_generators([gen], name=f"C{n}")
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    gens = [perm_from_cycles([[1, 2]], n)]
+    if n > 2:
+        gens.append(perm_from_cycles([list(range(1, n + 1))], n))
+    return FiniteGroup.from_generators(gens, name=f"S{n}")
+
+
+def alternating_group(n: int) -> FiniteGroup:
+    if n < 3:
+        raise GroupError("alternating group needs degree >= 3")
+    gens = [perm_from_cycles([[1, 2, 3]], n)]
+    if n > 3:
+        if n % 2:
+            gens.append(perm_from_cycles([list(range(1, n + 1))], n))
+        else:
+            gens.append(perm_from_cycles([list(range(2, n + 1))], n))
+    return FiniteGroup.from_generators(gens, name=f"A{n}")
+
+
+def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> tuple[FiniteGroup, SubgroupEmbedding, SubgroupEmbedding]:
+    """G1 x G2 acting on the disjoint union of points, with the two factor
+    embeddings."""
+    d1, d2 = g1.degree, g2.degree
+
+    def lift1(p: Perm) -> Perm:
+        return tuple(p) + tuple(d1 + i for i in range(d2))
+
+    def lift2(p: Perm) -> Perm:
+        return tuple(range(d1)) + tuple(d1 + x for x in p)
+
+    gens = [lift1(g) for g in g1.generators] + [lift2(g) for g in g2.generators]
+    prod = FiniteGroup.from_generators(
+        gens, name=f"{g1.name}x{g2.name}", order_cap=max(10000, g1.order * g2.order)
+    )
+    sub1 = FiniteGroup.from_generators([lift1(g) for g in g1.generators], name=g1.name)
+    sub2 = FiniteGroup.from_generators([lift2(g) for g in g2.generators], name=g2.name)
+    return prod, SubgroupEmbedding(sub1, prod), SubgroupEmbedding(sub2, prod)
+
+
+# -- submodules --------------------------------------------------------------
+
+
+def spanned_submodule(M: RepModule, vectors: FFMatrix) -> tuple[RepModule, FFMatrix]:
+    """Submodule generated by arbitrary column vectors: close under the
+    generator actions, then reduce to a basis."""
+    span = vectors
+    while True:
+        reduced = span.hstack(*[g @ span for g in M.gen_mats]).column_space_basis()
+        if reduced.cols == span.cols:
+            return submodule(M, reduced)
+        span = reduced
+
+
+def radical(M: RepModule) -> tuple[RepModule, FFMatrix]:
+    """(rad M, inclusion)."""
+    return submodule(M, homalg.radical_submodule_basis(M))
 
 
 def sl23():
@@ -69,7 +138,7 @@ def corpus_of(pair_ctx, max_modules=10):
     for pid in reg.pim_ids():
         P = reg.module(pid)
         out.append(P)
-        r, _ = homalg.radical(P)
+        r, _ = radical(P)
         if r.dim:
             out.append(r)
             t, _ = homalg.top(r)

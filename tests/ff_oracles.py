@@ -15,13 +15,43 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   permutations of every pair of group elements (``test_algebra.py``);
 * the per-element word products, the support-and-``combine`` loop and the
   column-at-a-time regular hom that the action stack of a module replaced
-  (``test_actions.py``)."""
+  (``test_actions.py``).
+
+It also holds the independent constructions that the tests check the
+program against, and that the program itself does not run:
+
+* the Kronecker product, and the outer tensor with a regular module that
+  induction along a direct factor must agree with (``test_functors.py``);
+* irreducibility through ``polys.factor`` (``test_polys.py``);
+* Hom dimensions, the Cartan matrix, and the translate through the
+  Nakayama functor on a minimal presentation (``test_modules.py``,
+  ``test_acceptance.py``);
+* the check that induction up to the inertial group lands in covering
+  blocks (P2.11.1, ``test_functors.py``)."""
 
 import numpy as np
 
-from tautilt import rings
+from tautilt import homalg, polys, rings
+from tautilt.algebra import Block, covers
 from tautilt.ff import _CODE_DTYPE, FFMatrix, FieldSpec
+from tautilt.functors import (
+    ClauseResult,
+    FunctorError,
+    InductionContext,
+    TheoremReport,
+    induce,
+)
 from tautilt.groups import perm_compose
+from tautilt.modules import (
+    ModuleRegistry,
+    RepModule,
+    block_component,
+    hom_basis,
+    lies_in_block,
+    regular_module,
+    submodule,
+    zero_module,
+)
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -179,7 +209,7 @@ def kronecker_intertwiners(field: FieldSpec, constraints, dims) -> list[FFMatrix
     for L, R in constraints:
         I_r = FFMatrix.identity(field, r)
         I_c = FFMatrix.identity(field, c)
-        blocks.append(I_r.kron(L.transpose()) - R.kron(I_c))
+        blocks.append(kron(I_r, L.transpose()) - kron(R, I_c))
     if not blocks:
         ns = FFMatrix.identity(field, r * c)
     else:
@@ -388,3 +418,140 @@ def column_regular_hom(M, N, mats) -> list[FFMatrix]:
             cols[:, g] = A.data[:, j]
         out.append(FFMatrix._trusted(N.field, cols) @ M.lambda_inclusion)
     return out
+
+
+def kron(A: FFMatrix, B: FFMatrix) -> FFMatrix:
+    """Kronecker product (A tensor B)."""
+    f = A.field
+    a, b = A.data, B.data
+    out = f.mul_table[a[:, None, :, None], b[None, :, None, :]]
+    out = out.reshape(A.rows * B.rows, A.cols * B.cols)
+    return FFMatrix._trusted(f, out)
+
+
+def is_irreducible(F: FieldSpec, f) -> bool:
+    if polys.degree(f) < 1:
+        return False
+    fs = polys.factor(F, f)
+    return len(fs) == 1 and fs[0][1] == 1
+
+
+def hom_dim(M: RepModule, N: RepModule) -> int:
+    return len(hom_basis(M, N))
+
+
+def cartan_matrix(registry: ModuleRegistry) -> list[list[int]]:
+    """C[i][j] = multiplicity of simple i in PIM j = dim Hom(P_i, P_j)."""
+    pims = registry.pim_ids()
+    return [
+        [registry.hom_dim_ids(pi, pj) for pj in pims]
+        for pi in pims
+    ]
+
+
+# -- Nakayama construction ------------------------------------------------------
+
+
+def _right_mult_matrix(algebra, elt_idx: int) -> FFMatrix:
+    mat = np.zeros((algebra.dim, algebra.dim), dtype=_CODE_DTYPE)
+    mat[algebra.group.table[:, elt_idx], np.arange(algebra.dim)] = 1
+    return FFMatrix._trusted(algebra.field, mat)
+
+
+def nu_of_projective(P: RepModule) -> tuple[RepModule, list[FFMatrix]]:
+    """Nakayama image of a projective: the dual of Hom(P, Lambda).
+
+    Returns (nu P, hom basis of Hom(P, Lambda) fixing the coordinates)."""
+    algebra = P.algebra
+    reg = regular_module(algebra)
+    basis = rings.reduce_span(P.field, hom_basis(P, reg))
+    if not basis:
+        return zero_module(algebra), []
+    # right action of a generator g on Hom(P, Lambda): f |-> (x -> f(x) g)
+    gen_mats = []
+    for gi in algebra.group.gen_indices:
+        Rg = _right_mult_matrix(algebra, gi)
+        C = rings.in_span(P.field, basis, [Rg @ f for f in basis])
+        if C is None:
+            raise AssertionError("right action left the hom space")
+        gen_mats.append(C.transpose())  # dual of a right module is a left module
+    return RepModule(algebra, gen_mats), basis
+
+
+def nakayama_tau(M: RepModule) -> RepModule:
+    """The translate as the kernel of nu(d) for a minimal presentation
+    P1 -d-> P0 of the projective-free part of M."""
+    core, _ = homalg.strip_projectives(M)
+    if core.dim == 0:
+        return zero_module(M.algebra)
+    P1, P0, d = homalg.minimal_presentation(core)
+    nu1, basis1 = nu_of_projective(P1)
+    nu0, basis0 = nu_of_projective(P0)
+    # Hom(d, Lambda): Hom(P0, L) -> Hom(P1, L), f -> f d; nu(d) is its dual
+    H = rings.in_span(M.field, basis1, [f @ d for f in basis0])  # (s1, s0)
+    if H is None:
+        raise AssertionError("hom functor image left the hom space")
+    nud = H.transpose()  # nu P1 -> nu P0
+    ker = nud.nullspace()
+    out, _ = submodule(nu1, ker)
+    return out
+
+
+# -- induction checks -------------------------------------------------------------
+
+
+def verify_covering_block_sum(
+    ctx_to_inertial: InductionContext, B: Block, M: RepModule
+) -> TheoremReport:
+    """Check that the induction of a block module up to the inertial group
+    splits into pieces lying in blocks covering the original one."""
+    if M.dim and not lies_in_block(M, B):
+        raise FunctorError("module does not lie in the stated block")
+    ind = induce(ctx_to_inertial, M)
+    clauses = []
+    for bi in ctx_to_inertial.target.blocks():
+        comp, _ = block_component(ind, bi)
+        if comp.dim == 0:
+            continue
+        cov = covers(bi, B, ctx_to_inertial.emb)
+        clauses.append(
+            ClauseResult(
+                f"component_in_covering_block_{bi.index}",
+                cov,
+                {"component_dim": comp.dim, "block_dim": bi.dim},
+            )
+        )
+    if not clauses:
+        clauses.append(ClauseResult("vacuous_zero_module", True, {}))
+    return TheoremReport("P2.11.1", {"module_dim": M.dim}, clauses)
+
+
+def tensor_with_regular(
+    ctx: InductionContext, second_factor_gens: list[int], M: RepModule
+) -> RepModule:
+    """The outer tensor of M with the regular module of the second direct
+    factor, as a module over the product group.
+
+    second_factor_gens: generator positions of the product group that come
+    from the second factor (the rest must come from the first, matching
+    M's algebra generators in order)."""
+    target = ctx.target
+    field = target.field
+    emb = ctx.emb
+    n = emb.n_cosets
+    mats = []
+    first_pos = 0
+    for pos, gi in enumerate(target.group.gen_indices):
+        if pos in second_factor_gens:
+            # permutation of cosets tensor identity on M
+            action = ctx._coset_action(gi)
+            perm = np.zeros((n, n), dtype=_CODE_DTYPE)
+            for i, (sigma_i, h) in enumerate(action):
+                perm[sigma_i, i] = 1
+            mats.append(kron(FFMatrix._trusted(field, perm), FFMatrix.identity(field, M.dim)))
+        else:
+            mats.append(
+                kron(FFMatrix.identity(field, n), M.gen_mats[first_pos])
+            )
+            first_pos += 1
+    return RepModule(target, mats)

@@ -8,7 +8,16 @@ import time
 import pytest
 
 from conftest import EmbeddedPair, make_context
-from corpus import corpus_of
+from corpus import (
+    alternating_group,
+    corpus_of,
+    cyclic_group,
+    direct_product,
+    radical,
+    spanned_submodule,
+    symmetric_group,
+)
+from ff_oracles import nakayama_tau
 from tautilt import homalg
 from tautilt.algebra import GroupAlgebra, principal_block
 from tautilt.engine import (
@@ -20,26 +29,19 @@ from tautilt.engine import (
 )
 from tautilt.functors import (
     InductionContext,
+    _certified_pair,
     induce,
     is_invariant,
     mackey_decomposition,
     verify_main_theorems,
     verify_syzygy_commutation,
 )
-from tautilt.groups import (
-    alternating_group,
-    cyclic_group,
-    direct_product,
-    group_from_generators,
-    perm_from_cycles,
-    symmetric_group,
-)
+from tautilt.groups import group_from_generators, perm_from_cycles
 from tautilt.modules import (
     ModuleRegistry,
     direct_sum,
     is_isomorphic,
     quotient_module,
-    spanned_submodule,
     trivial_module,
 )
 
@@ -54,7 +56,7 @@ def two_dim_quotients_of_pim(registry, pim_id):
     """The uniserial length-2 quotients of a PIM whose heart has two
     distinct simple components (radical-layer pullbacks)."""
     P = registry.module(pim_id)
-    rad, rad_inc = homalg.radical(P)
+    rad, rad_inc = radical(P)
     t, q_r = homalg.top(rad)
     dec = registry.decompose(t)
     out = []
@@ -147,14 +149,16 @@ def test_acceptance_3_invariant_bijection(a4_in_s4, a4_poset, s4_poset):
     ok = ok and clauses["order_preserved_and_reflected"].passed
     ok = ok and clauses["induced_map_injective"].passed
     ok = ok and clauses["induced_map_image"].details.get("onto_target_poset") is True
-    # recount the two-directional order checks pairwise
-    imgs = rep.images
+    # recount the two-directional order checks pairwise, on each invariant
+    # node and the pair of its induction
+    nodes = rep.invariant_nodes
+    imgs = [_certified_pair(pc.amb_tctx, induce(pc.ictx, n.module())) for n in nodes]
     pairs = 0
     order_ok = True
     for i in range(len(imgs)):
         for j in range(i + 1, len(imgs)):
-            fwd = geq(imgs[i].node, imgs[j].node) == geq(imgs[i].image, imgs[j].image)
-            bwd = geq(imgs[j].node, imgs[i].node) == geq(imgs[j].image, imgs[i].image)
+            fwd = geq(nodes[i], nodes[j]) == geq(imgs[i], imgs[j])
+            bwd = geq(nodes[j], nodes[i]) == geq(imgs[j], imgs[i])
             order_ok = order_ok and fwd and bwd
             pairs += 1
     ok = ok and order_ok and pairs == 28
@@ -207,7 +211,7 @@ def test_acceptance_6_translate_consistency(a4_in_s4, c3_in_s3, c2_in_c4, s3_gf3
         for M in corpus_of(pc):
             if M.dim <= 24:
                 t1 = homalg.tau(M)
-                t2 = homalg.nakayama_tau(M)
+                t2 = nakayama_tau(M)
                 ok, _ = is_isomorphic(t1, t2)
                 assert ok, f"translate mismatch at dim {M.dim}"
                 checked += 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import fixture_groups
+from corpus import alternating_group, cyclic_group, fixture_groups, symmetric_group
 from ff_oracles import loop_mul_vec
 from tautilt import rings
 from tautilt.algebra import (
@@ -19,14 +19,7 @@ from tautilt.algebra import (
     splitting_field_degree,
 )
 from tautilt.ff import FFMatrix, field_create
-from tautilt.groups import (
-    SubgroupEmbedding,
-    alternating_group,
-    cyclic_group,
-    group_from_generators,
-    perm_from_cycles,
-    symmetric_group,
-)
+from tautilt.groups import SubgroupEmbedding, group_from_generators, perm_from_cycles
 
 
 def algebra_of(group, p, m=None):

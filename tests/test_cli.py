@@ -414,15 +414,22 @@ def test_induce_rejects_module_entries_outside_the_field(group_files, capsys, tm
     assert err == f"error: bad module file {mod_file}: generator matrix 0: entry {entry!r} is not a field code in range(4)\n"
 
 
-def test_negative_seed_is_a_parse_error(group_files, capsys):
-    """A negative seed reached numpy's random generator and ended in a
-    traceback."""
-    code, out, err = run(
-        capsys, ["stt", group_files["S3"], "--p", "2", "--m", "1", "--seed", "-1", "--no-cache"]
-    )
+@pytest.mark.parametrize("command", ["blocks", "induce"])
+def test_non_utf8_input_is_invalid_json(group_files, capsys, tmp_path, command):
+    """A group or module file that is not UTF-8 ended in a
+    UnicodeDecodeError traceback."""
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    if command == "blocks":
+        argv = ["blocks", str(path), "--p", "2", "--no-cache"]
+    else:
+        argv = ["induce", group_files["C3"], group_files["S3"], "--p", "2",
+                "--module", str(path), "--no-cache"]
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -106,7 +106,7 @@ def test_poset_c2(poset_c2):
 
 def test_poset_c3_p3():
     from conftest import make_context
-    from tautilt.groups import cyclic_group
+    from corpus import cyclic_group
 
     ctx = TiltingContext(make_context(cyclic_group(3), 3, 1))
     poset = enumerate_poset(ctx)
@@ -164,7 +164,7 @@ def test_poset_s4_matches_figure(poset_s4):
 
 def test_poset_node_cap():
     from conftest import make_context
-    from tautilt.groups import symmetric_group
+    from corpus import symmetric_group
 
     ctx = TiltingContext(make_context(symmetric_group(3), 3, 1))
     with pytest.raises(PosetCapExceeded):
@@ -294,13 +294,14 @@ def test_both_criteria_agree_everywhere(poset_s3, poset_s4, poset_c2):
 
 def test_figure_node_a4(a4_gf4):
     """The pair [3/1] + [3/2] + P3 over kA4 certifies (a figure node)."""
-    from tautilt.modules import quotient_module, spanned_submodule
+    from corpus import radical, spanned_submodule
+    from tautilt.modules import quotient_module
 
     ctx = TiltingContext(a4_gf4)
     reg = ctx.registry
     p3 = ctx.pim_ids()[2]
     P3 = reg.module(p3)
-    rad, rad_inc = homalg.radical(P3)
+    rad, rad_inc = radical(P3)
     t, q_r = homalg.top(rad)
     dec = reg.decompose(t)
     assert len(dec.parts) == 2

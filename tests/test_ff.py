@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ff_oracles import kron
 from tautilt.ff import (
     FFError,
     FFMatrix,
@@ -224,7 +225,7 @@ class TestHelpers:
         F = gf(3)
         A = FFMatrix.from_rows(F, [[1, 2]])
         B = FFMatrix.from_rows(F, [[2], [1]])
-        K = A.kron(B)
+        K = kron(A, B)
         assert K.shape == (2, 2)
         assert K.entries() == [2, 4 % 3, 1, 2]
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ff_oracles import _poly_mul_mod, polynomial_field_tables, table_charpoly, table_matmul
+from ff_oracles import _poly_mul_mod, kron, polynomial_field_tables, table_charpoly, table_matmul
 from tautilt import ff
 from tautilt.ff import FFError, FFMatrix, FieldSpec, _is_prime, canonical_modulus, field_create
 
@@ -105,7 +105,7 @@ def test_public_constructor_checks_ranges_and_results_are_frozen():
     with pytest.raises(FFError, match="out of range"):
         FFMatrix(field, [[-1]])
     A = FFMatrix(field, [[1, 2], [3, 0]])
-    for result in (A @ A, A + A, A - A, -A, A.scale(2), A.kron(A), A.hstack(A),
+    for result in (A @ A, A + A, A - A, -A, A.scale(2), kron(A, A), A.hstack(A),
                    A.vstack(A), A.take_rows([1]), A.take_columns([0]), A.rref()[0],
                    A.nullspace(), A.inverse(), A.transpose()):
         assert result.data.dtype == np.int16

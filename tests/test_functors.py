@@ -1,6 +1,7 @@
 import pytest
 
 from corpus import corpus_of
+from ff_oracles import hom_dim, verify_covering_block_sum
 
 from tautilt import homalg
 from tautilt.algebra import inertial_group, principal_block
@@ -13,13 +14,11 @@ from tautilt.functors import (
     mackey_decomposition,
     restrict,
     twist,
-    verify_covering_block_sum,
     verify_syzygy_commutation,
 )
 from tautilt.groups import SubgroupEmbedding
 from tautilt.modules import (
     direct_sum,
-    hom_dim,
     is_isomorphic,
     regular_module,
     trivial_module,
@@ -384,10 +383,10 @@ def test_direct_product_induction_is_tensor():
     """Induction from a direct factor agrees with tensoring by the regular
     module of the other factor."""
     from conftest import make_context
+    from corpus import cyclic_group, direct_product, symmetric_group
+    from ff_oracles import tensor_with_regular
     from tautilt.algebra import GroupAlgebra, splitting_field
     from tautilt.engine import TiltingContext
-    from tautilt.functors import tensor_with_regular
-    from tautilt.groups import cyclic_group, direct_product, symmetric_group
     from tautilt.modules import ModuleRegistry
 
     prod, e1, e2 = direct_product(symmetric_group(3), cyclic_group(2))

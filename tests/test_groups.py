@@ -1,13 +1,10 @@
 import pytest
 
-from corpus import fixture_groups
+from corpus import alternating_group, cyclic_group, direct_product, fixture_groups, symmetric_group
 from tautilt.groups import (
     FiniteGroup,
     GroupError,
     SubgroupEmbedding,
-    alternating_group,
-    cyclic_group,
-    direct_product,
     group_from_generators,
     group_from_json,
     group_to_json,
@@ -15,7 +12,6 @@ from tautilt.groups import (
     perm_from_cycles,
     perm_identity,
     perm_inverse,
-    symmetric_group,
 )
 
 

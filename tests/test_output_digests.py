@@ -49,6 +49,13 @@ EXPECTED = {
     "blocks S5 --p 5 --m 1": {
         "stdout": "2743ee329513198f867a89e590ddc69e29f32b0f2b377c479eac2d849d239165",
     },
+    # The benchmark's induction operations on A4 < S4 over GF(4).
+    "verify A4 S4 --p 2": {
+        "stdout": "8ce0728401c670757071039629e0df0df15494655e7a46d4705d24d171c09ac3",
+    },
+    "induce A4 S4 --p 2": {
+        "stdout": "011b4cb7537d092b45bfd1ce6e358c5822dc2709a96be09fb288211b0ee21926",
+    },
 }
 
 
@@ -98,7 +105,7 @@ def outputs(tmp_path_factory):
         argv = [str(files.get(a, a)) for a in op.split()] + ["--no-cache"]
         if argv[0] == "stt":
             argv += ["--json", str(tmp / f"{op}.json"), "--dot", str(tmp / f"{op}.dot")]
-        if argv[0] == "mackey":
+        if argv[0] in ("mackey", "induce"):
             argv += ["--module", str(module)]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
