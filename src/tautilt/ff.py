@@ -12,6 +12,31 @@ folds them into the coordinates of sum A_i B_j x^(i+j), and these are reduced
 mod p and encoded.  The table loops this replaced are the test oracles in
 tests/ff_oracles.py.  Results built here skip the range check of FFMatrix().
 
+Small operands skip numpy's per-call cost, which there outweighs the
+arithmetic; both paths are exact table arithmetic, so they give the same
+codes.  The cutoffs are where the two paths took equal time on the
+operands that ``verify A4 S4 --p 2``, ``stt A4 --p 2``, ``stt S4 --p 2
+--m 1`` and ``verify A4 S4 --p 3`` pass to the kernel (one 2-core x86 box,
+best of 3 per operand, summed over operands of about the same size):
+
+* ``FFMatrix.rref`` runs the same Gauss-Jordan loop on a Python list per
+  row up to _LIST_RREF_CELLS = 512 cells: 2-2.5x faster below 256 cells,
+  1.1-1.4x at 256-512, from 0.6x to 1.3x at 512-1024 and 1.6-4x slower
+  from 8192 cells on.  The field's add, mul, neg and inv tables are copied to
+  nested lists (FieldSpec.list_tables) on the first such call, and only for
+  q <= _LIST_TABLE_CAP = 256: every code is then one of CPython's cached
+  small ints, so a q x q list is q^2 pointers, 0.5 MB at q = 256.  Larger
+  fields stay on the numpy loop.
+* ``_matmul`` over GF(2^m), m > 1, with r s c <= _GATHER_MATMUL_MACS = 4096
+  multiply-adds, reads every product A[i, k] B[k, j] from the mul table and
+  XORs them over k, as codes of GF(2^m) add bitwise: 2-2.5x faster below
+  512, 1.1-1.2x at 2048-4096, 0.6-1x from 4096 to 32768 over GF(4).  Over
+  GF(p) the float product is already one call.  Over GF(p^m) for odd p,
+  summing the products' base-p digits was at most 1.3x faster below about
+  200 multiply-adds, 1.15-1.4x slower at 512 and 4-11x slower at 32768
+  (random n x n products over GF(9), GF(25), GF(49), GF(81) and GF(729)),
+  so those fields keep the coefficient planes at every size.
+
 Everything here is immutable after construction; operations are pure
 functions and safe to share across workers.
 """
@@ -25,6 +50,10 @@ import numpy as np
 
 _CODE_DTYPE = np.int16
 _TABLE_CAP = 4096  # largest q for which we build q*q tables
+_LIST_TABLE_CAP = 256  # largest q whose tables FieldSpec.list_tables copies
+# Operands up to these sizes take the small paths (module docstring).
+_LIST_RREF_CELLS = 512  # rows * cols, for FFMatrix.rref
+_GATHER_MATMUL_MACS = 4096  # r * s * c, for _matmul over GF(2^m), m > 1
 
 
 class FFError(ValueError):
@@ -166,6 +195,12 @@ class FieldSpec:
         """The image of the integer n under Z -> GF(p^m)."""
         return n % self.p
 
+    @functools.cached_property
+    def list_tables(self) -> tuple[list, list, list, list]:
+        """(add, mul, neg, inv) as nested Python lists, for the list
+        elimination; built on first use, for q <= _LIST_TABLE_CAP only."""
+        return tuple(t.tolist() for t in (self.add_table, self.mul_table, self.neg_table, self.inv_table))
+
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
 
@@ -274,9 +309,11 @@ class FFMatrix:
     __slots__ = ("field", "data")
 
     def __init__(self, field: FieldSpec, data):
-        arr = np.asarray(data, dtype=_CODE_DTYPE)
+        arr = np.asarray(data)
         if arr.ndim != 2:
             raise FFError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
+        if arr.size and arr.dtype.kind not in "biu":
+            raise FFError(f"matrix entries must be integers, got {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):
             raise FFError("entry out of range for field")
         self._freeze(field, arr)
@@ -309,8 +346,7 @@ class FFMatrix:
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Iterable[Iterable[int]]) -> "FFMatrix":
-        rows = [list(r) for r in rows]
-        return FFMatrix(field, np.array(rows, dtype=_CODE_DTYPE))
+        return FFMatrix(field, [list(r) for r in rows])
 
     # -- basics ----------------------------------------------------------
 
@@ -397,10 +433,15 @@ class FFMatrix:
     def rref(self) -> tuple["FFMatrix", tuple[int, ...]]:
         """Reduced row echelon form by Gauss-Jordan elimination through the
         field tables, one pivot at a time over whole rows, taking the first
-        nonzero entry of each column as its pivot.
+        nonzero entry of each column as its pivot: on Python lists up to
+        _LIST_RREF_CELLS cells over a field of at most _LIST_TABLE_CAP
+        elements, else on the numpy array.
 
         Returns (R, pivot_columns)."""
         f = self.field
+        if self.data.size <= _LIST_RREF_CELLS and f.q <= _LIST_TABLE_CAP:
+            R, pivots = _rref_lists(f, self.data)
+            return FFMatrix._trusted(f, R), pivots
         A = self.data.copy()
         nrows, ncols = A.shape
         pivots = []
@@ -496,25 +537,38 @@ class FFMatrix:
         return out
 
     def minimal_polynomial(self) -> tuple[int, ...]:
-        """Monic minimal polynomial, little-endian codes."""
+        """Monic minimal polynomial, little-endian codes.
+
+        Each power A^k, as the row [vec(A^k) | e_k], is reduced against the
+        rows kept for I, A, ..., A^(k-1): reduced echelon in their vec part,
+        each with the combination of powers it stands for.  The first power
+        whose vec part reduces to zero gives the relation; its coefficient
+        of A^k is still 1."""
         if self.rows != self.cols:
             raise FFError("minimal polynomial needs a square matrix")
         n = self.rows
         f = self.field
         if n == 0:
             return (1,)  # unit polynomial for the empty matrix
-        powers = [FFMatrix.identity(f, n)]
-        flat = [powers[0].data.ravel()]
-        for k in range(1, n + 1):
-            powers.append(powers[-1] @ self)
-            flat.append(powers[-1].data.ravel())
-            # is the last power a combination of the earlier ones?
-            M = FFMatrix._trusted(f, np.array(flat[:k], dtype=_CODE_DTYPE).T)
-            rhs = FFMatrix._trusted(f, flat[k].reshape(-1, 1))
-            sol = M.solve(rhs)
-            if sol is not None:
-                coeffs = [f.neg(int(c)) for c in sol.data.ravel()]
-                return tuple(coeffs + [1])
+        nn = n * n
+        kept = np.zeros((0, nn + n + 1), dtype=_CODE_DTYPE)
+        pivots: list[int] = []
+        power = FFMatrix.identity(f, n)
+        for k in range(n + 1):
+            if k:
+                power = power @ self
+            row = np.zeros(nn + n + 1, dtype=_CODE_DTYPE)
+            row[:nn] = power.data.ravel()
+            row[nn + k] = 1
+            row = f.add_table[row, f.neg_table[_matmul(f, row[None, pivots], kept)[0]]]
+            nz = np.flatnonzero(row[:nn])
+            if not nz.size:
+                return tuple(int(c) for c in row[nn : nn + k + 1])
+            col = int(nz[0])
+            row = f.mul_table[f.inv_table[row[col]], row]
+            kept = f.add_table[kept, f.mul_table[f.neg_table[kept[:, col]][:, None], row[None, :]]]
+            kept = np.vstack([kept, row])
+            pivots.append(col)
         raise AssertionError("minimal polynomial of degree > n")
 
     def charpoly(self) -> tuple[int, ...]:
@@ -563,17 +617,54 @@ class FFMatrix:
         return tuple(polys[n])
 
 
+def _rref_lists(f: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The Gauss-Jordan loop of FFMatrix.rref on a list per row, through
+    f.list_tables; over GF(2^m) codes add by XOR."""
+    add, mul, neg, inv = f.list_tables
+    xor = f.p == 2
+    A = data.tolist()
+    nrows = len(A)
+    pivots = []
+    r = 0
+    for c in range(data.shape[1]):
+        if r == nrows:
+            break
+        i = next((i for i in range(r, nrows) if A[i][c]), None)
+        if i is None:
+            continue
+        row = A[i]
+        A[i] = A[r]
+        if row[c] != 1:
+            scale = mul[inv[row[c]]]
+            row = [scale[x] for x in row]
+        A[r] = row
+        for j, other in enumerate(A):
+            if other[c] and j != r:
+                times = mul[neg[other[c]]]
+                if xor:
+                    A[j] = [x ^ times[y] for x, y in zip(other, row)]
+                else:
+                    A[j] = [add[x][times[y]] for x, y in zip(other, row)]
+        pivots.append(c)
+        r += 1
+    return np.array(A, dtype=_CODE_DTYPE).reshape(data.shape), tuple(pivots)
+
+
 def _matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B for code arrays over f: one float64 BLAS product on coefficient
     planes (module docstring), exact while its intermediates, at most
     m^2 s (p-1)^3 for inner dimension s, stay below 2^53; else FFError.  The
-    mod-p step runs on int64, where numpy's % is several times faster than fmod."""
+    mod-p step runs on int64, where numpy's % is several times faster than fmod.
+    Over GF(2^m), m > 1, up to _GATHER_MATMUL_MACS multiply-adds: table products."""
     (r, s), c, p, m = A.shape, B.shape[1], f.p, f.m
     if m * m * s * (p - 1) ** 3 >= 2**53:
         raise FFError(f"inner dimension {s} is too long for an exact product over {f}")
     if m == 1:
         prod = A.astype(np.float64) @ B.astype(np.float64)
         return (prod.astype(np.int64) % p).astype(_CODE_DTYPE)
+    if p == 2 and r * s * c <= _GATHER_MATMUL_MACS:
+        # codes of GF(2^m) add bitwise: XOR the products A[i, k] B[k, j] over k
+        return np.bitwise_xor.reduce(f.mul_table[A[:, :, None], B[None, :, :]], axis=1)
     planes = f.digit_planes
     left = np.take(planes, A, axis=1).reshape(m * r, s)  # row block i: A_i
     right = planes.T[B].reshape(s, c * m)  # column k m + j: column k of B_j

@@ -10,6 +10,9 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
 * the Kronecker intertwiner solver that spinning replaced, and the
   bit-sliced GF(2^m) elimination that ran its large systems
   (``test_ff_packed.py``);
+* an elimination through the scalar field helpers, one entry at a time,
+  for every field, and the minimal polynomial that solved a growing system
+  once per degree (``test_ff_small.py``);
 * the radical that took one charpoly per entry of every stage matrix
   (``test_rings.py``), and the group algebra product that composed the
   permutations of every pair of group elements (``test_algebra.py``);
@@ -151,6 +154,47 @@ def table_matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             continue
         out = f.add_table[out, f.mul_table[col[:, None], B[k, :][None, :]]]
     return out
+
+
+def scalar_rref(f: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination one entry at a time through the scalar
+    helpers of FieldSpec: scale the pivot row, then subtract its multiple
+    from every other row, entry by entry."""
+    A = [[int(x) for x in row] for row in data]
+    nrows, ncols = data.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        rows = [i for i in range(r, nrows) if A[i][c]]
+        if not rows:
+            continue
+        A[r], A[rows[0]] = A[rows[0]], A[r]
+        pv_inv = f.inv(A[r][c])
+        A[r] = [f.mul(pv_inv, x) for x in A[r]]
+        for i in range(nrows):
+            if i != r and A[i][c]:
+                factor = A[i][c]
+                A[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return np.array(A, dtype=_CODE_DTYPE).reshape(nrows, ncols), tuple(pivots)
+
+
+def solve_minimal_polynomial(A: FFMatrix) -> tuple[int, ...]:
+    """Monic minimal polynomial, little-endian: for k = 1, 2, ..., one solve
+    of the system whose columns are vec(A^j), j < k, against vec(A^k)."""
+    f, n = A.field, A.rows
+    if n == 0:
+        return (1,)
+    flat = [FFMatrix.identity(f, n).data.ravel()]
+    power = FFMatrix.identity(f, n)
+    for k in range(1, n + 1):
+        power = power @ A
+        flat.append(power.data.ravel())
+        M = FFMatrix._trusted(f, np.array(flat[:k], dtype=_CODE_DTYPE).T)
+        sol = M.solve(FFMatrix._trusted(f, flat[k].reshape(-1, 1)))
+        if sol is not None:
+            return tuple([f.neg(int(c)) for c in sol.data.ravel()] + [1])
+    raise AssertionError("minimal polynomial of degree > n")
 
 
 def table_charpoly(f: FieldSpec, data: np.ndarray) -> tuple[int, ...]:

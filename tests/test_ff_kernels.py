@@ -58,9 +58,10 @@ def test_dense_prime_field_products_near_the_largest_sums(s):
 @pytest.mark.parametrize("field", [field_create(2, 2), field_create(3, 2)], ids=repr)
 def test_dense_extension_field_products_near_the_largest_sums(field):
     top = field.q - 1  # every digit p - 1
-    A = np.full((5, 60), top, dtype=np.int16)
-    B = np.full((60, 5), top, dtype=np.int16)
-    assert np.array_equal(ff._matmul(field, A, B), table_matmul(field, A, B))
+    for rows in (5, 40):  # over GF(4): table products, then coefficient planes
+        A = np.full((rows, 60), top, dtype=np.int16)
+        B = np.full((60, 5), top, dtype=np.int16)
+        assert np.array_equal(ff._matmul(field, A, B), table_matmul(field, A, B))
 
 
 def test_inner_dimension_beyond_the_exactness_bound_raises():
@@ -104,6 +105,13 @@ def test_public_constructor_checks_ranges_and_results_are_frozen():
         FFMatrix(field, [[4]])
     with pytest.raises(FFError, match="out of range"):
         FFMatrix(field, [[-1]])
+    with pytest.raises(FFError, match="out of range"):
+        FFMatrix(field, [[65537]])  # beyond int16: no OverflowError
+    for bad in ([[1.5, 2.9]], [[1.0]], [["1"]], [[2**70]]):
+        with pytest.raises(FFError, match="must be integers"):
+            FFMatrix(field, bad)
+        with pytest.raises(FFError, match="must be integers"):
+            FFMatrix.from_rows(field, bad)
     A = FFMatrix(field, [[1, 2], [3, 0]])
     for result in (A @ A, A + A, A - A, -A, A.scale(2), kron(A, A), A.hstack(A),
                    A.vstack(A), A.take_rows([1]), A.take_columns([0]), A.rref()[0],

@@ -56,6 +56,11 @@ EXPECTED = {
     "induce A4 S4 --p 2": {
         "stdout": "011b4cb7537d092b45bfd1ce6e358c5822dc2709a96be09fb288211b0ee21926",
     },
+    # An odd-characteristic extension field, GF(9): its products reduce by
+    # digit sums, not by XOR as over GF(2^m).
+    "verify A4 S4 --p 3": {
+        "stdout": "5b8b89c63376bd1f4b02ee21d65e3c3b926aa627d37a6401018d3aa0bbc2af4b",
+    },
 }
 
 
