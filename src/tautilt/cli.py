@@ -10,9 +10,9 @@ numeric module loads.  TAUTILT_CACHE overrides the cache directory;
 --no-cache disables caching.
 
 Exit codes: 0 success, 2 parse error or unwritable output file, 3 cap
-exceeded, 4 embedding not normal, 5 verification failure, 6 field does not
-split, 7 decomposition search exhausted, 8 internal inconsistency of the
-engine.
+exceeded or out of memory, 4 embedding not normal, 5 verification failure,
+6 field does not split, 7 decomposition search exhausted, 8 internal
+inconsistency of the engine.
 """
 
 from __future__ import annotations
@@ -442,6 +442,8 @@ def _embedded_module(args, config: SessionConfig, need_normal: bool):
     sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
     try:
         M = module_from_json(module_data, algebra=sub_alg)
+    except MemoryError:
+        raise
     except Exception as e:
         raise CliError(f"bad module file {args.module}: {e}", EXIT_PARSE) from e
     return emb, sub_alg, amb_alg, M
@@ -573,10 +575,12 @@ def main(argv=None) -> int:
 
 
 def _failure(exc: Exception) -> tuple[int, str] | None:
-    """The exit code and message of a failure in the numeric modules, or
-    None for any other exception.  The classes are imported here, not at
-    the top: a cache hit raises none of them, and a run that computed has
-    loaded their modules already."""
+    """The exit code and message of a failure in the numeric modules or of
+    an allocation, or None for any other exception.  The classes are
+    imported here, not at the top: a cache hit raises none of them, and a
+    run that computed has loaded their modules already."""
+    if isinstance(exc, MemoryError):
+        return EXIT_CAP, f"out of memory: {exc}" if str(exc) else "out of memory"
     from .engine import EngineError
     from .ff import FFError
     from .rings import DecompositionError, FieldNotSplittingError

@@ -37,6 +37,29 @@ best of 3 per operand, summed over operands of about the same size):
   (random n x n products over GF(9), GF(25), GF(49), GF(81) and GF(729)),
   so those fields keep the coefficient planes at every size.
 
+A product whose float64 temporaries would pass _MATMUL_BLOCK_BYTES = 1 MiB
+runs in blocks.  Each row of A (column of B) takes 8 m s bytes of planes,
+and each output entry 16 m^2 bytes: the plane product and its copy in fold
+order (over GF(p), the float product and its int64 copy).  ``_matmul``
+splits the longer side of the output, the rows of A when r >= c and else
+the columns of B, into blocks of as many lines as the budget holds (at
+least one).  It converts the other operand to planes once and writes every
+block into one int16 output.  Each entry is the same exact sum over the
+same inner dimension, so no code changes.  The budget is a memory bound,
+not a speed knob.  At 1 MiB the benchmark's structure operations split no
+product, ``stt S3xC3 --p 2`` splits 1, ``mackey A4 S4 --p 2`` 9 and
+``verify A4 S4 --p 2`` 18 of about 20,000.  Peak RSS of the process, whole
+products against blocks, on one 2-core x86 box with identical output bytes:
+
+  ``mackey A4 S4 --p 2`` (seeded 16-dim module)   49.9 MB  ->  40.0 MB
+  ``stt A5 --p 3`` (GF(81))                       164 MB   ->  46.5 MB
+  ``stt A5 --p 2`` (GF(16))                       164 MB   ->  50.7 MB
+  ``stt S5 --p 5`` (GF(25))                       312 MB   ->  115 MB
+
+The planes of the side that is not split stay whole: a long inner dimension
+still costs 8 m s bytes per line of the other side, 27.6 MB for the
+(120 x 14400) @ (14400 x 120) trace form of kS5 over GF(25).
+
 Everything here is immutable after construction; operations are pure
 functions and safe to share across workers.
 """
@@ -54,6 +77,8 @@ _LIST_TABLE_CAP = 256  # largest q whose tables FieldSpec.list_tables copies
 # Operands up to these sizes take the small paths (module docstring).
 _LIST_RREF_CELLS = 512  # rows * cols, for FFMatrix.rref
 _GATHER_MATMUL_MACS = 4096  # r * s * c, for _matmul over GF(2^m), m > 1
+# Temporaries of one _matmul past this many bytes: blocks (module docstring).
+_MATMUL_BLOCK_BYTES = 1 << 20
 
 
 class FFError(ValueError):
@@ -655,19 +680,56 @@ def _matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     planes (module docstring), exact while its intermediates, at most
     m^2 s (p-1)^3 for inner dimension s, stay below 2^53; else FFError.  The
     mod-p step runs on int64, where numpy's % is several times faster than fmod.
-    Over GF(2^m), m > 1, up to _GATHER_MATMUL_MACS multiply-adds: table products."""
+    Over GF(2^m), m > 1, up to _GATHER_MATMUL_MACS multiply-adds: table products.
+    Temporaries past _MATMUL_BLOCK_BYTES: blocks of output rows or columns."""
     (r, s), c, p, m = A.shape, B.shape[1], f.p, f.m
     if m * m * s * (p - 1) ** 3 >= 2**53:
         raise FFError(f"inner dimension {s} is too long for an exact product over {f}")
-    if m == 1:
-        prod = A.astype(np.float64) @ B.astype(np.float64)
-        return (prod.astype(np.int64) % p).astype(_CODE_DTYPE)
-    if p == 2 and r * s * c <= _GATHER_MATMUL_MACS:
+    if m > 1 and p == 2 and r * s * c <= _GATHER_MATMUL_MACS:
         # codes of GF(2^m) add bitwise: XOR the products A[i, k] B[k, j] over k
         return np.bitwise_xor.reduce(f.mul_table[A[:, :, None], B[None, :, :]], axis=1)
-    planes = f.digit_planes
-    left = np.take(planes, A, axis=1).reshape(m * r, s)  # row block i: A_i
-    right = planes.T[B].reshape(s, c * m)  # column k m + j: column k of B_j
+    # Split the longer side of the output: a row of A (column of B) takes
+    # 8 m s bytes of planes, and each output entry 16 m^2 bytes for the
+    # plane product and its copy in fold order.
+    lines, other = (r, c) if r >= c else (c, r)
+    line_bytes = 8 * m * (s + 2 * m * other)
+    if lines * line_bytes <= _MATMUL_BLOCK_BYTES:
+        return _plane_product(f, _left_planes(f, A), _right_planes(f, B))
+    step = max(1, _MATMUL_BLOCK_BYTES // line_bytes)
+    out = np.empty((r, c), dtype=_CODE_DTYPE)
+    if r >= c:
+        right = _right_planes(f, B)
+        for a in range(0, r, step):
+            out[a : a + step] = _plane_product(f, _left_planes(f, A[a : a + step]), right)
+    else:
+        left = _left_planes(f, A)
+        for a in range(0, c, step):
+            out[:, a : a + step] = _plane_product(f, left, _right_planes(f, B[:, a : a + step]))
+    return out
+
+
+def _left_planes(f: FieldSpec, A: np.ndarray) -> np.ndarray:
+    """The (m r x s) float64 planes of A: row block i is A_i."""
+    if f.m == 1:
+        return A.astype(np.float64)
+    return np.take(f.digit_planes, A, axis=1).reshape(f.m * A.shape[0], A.shape[1])
+
+
+def _right_planes(f: FieldSpec, B: np.ndarray) -> np.ndarray:
+    """The (s x m c) float64 planes of B: column k m + j is column k of B_j."""
+    if f.m == 1:
+        return B.astype(np.float64)
+    return f.digit_planes.T[B].reshape(B.shape[0], B.shape[1] * f.m)
+
+
+def _plane_product(f: FieldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The codes of A @ B from the planes of A and B."""
+    p, m = f.p, f.m
+    r, c = left.shape[0] // m, right.shape[1] // m
+    if m == 1:
+        coords = (left @ right).astype(np.int64)
+        coords %= p
+        return coords.astype(_CODE_DTYPE)
     # (i, row, col, j) -> (row, col, i m + j), the rows the fold reads
     prod = (left @ right).reshape(m, r, c, m).transpose(1, 2, 0, 3).reshape(r * c, m * m)
     coords = (prod @ f.fold).astype(np.int64)

@@ -3,13 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import tautilt
 from tautilt import engine
-from tautilt.cli import main
+from tautilt.cli import _failure, main
 from tautilt.engine import CriteriaDisagree, EngineError
 from tautilt.rings import DecompositionError
 
@@ -198,6 +199,7 @@ def test_stt_field_not_splitting(group_files, capsys):
         (DecompositionError("no splitting idempotent found in 400 tries"), 7),
         (CriteriaDisagree("counting=True vs approximation=False"), 8),
         (EngineError("multiple certified completions"), 8),
+        (MemoryError("Unable to allocate 1.38 GiB for an array with shape (169344, 1008)"), 3),
     ],
 )
 def test_stt_failure_exit_codes(group_files, capsys, monkeypatch, exc, code):
@@ -210,6 +212,42 @@ def test_stt_failure_exit_codes(group_files, capsys, monkeypatch, exc, code):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(exc) in err
+
+
+def test_out_of_memory_is_the_cap_code():
+    assert _failure(MemoryError("Unable to allocate 8 MiB")) == (3, "out of memory: Unable to allocate 8 MiB")
+    assert _failure(MemoryError()) == (3, "out of memory")
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the address space size from /proc")
+def test_running_out_of_address_space_exits_3_with_one_line(tmp_path):
+    """A child caps its own address space at 8 MB above its size after the
+    imports and runs a computation that needs far more (``stt S5 --p 5``
+    peaks near 115 MB): it exits 3 with one ``error: out of memory`` line."""
+    group = tmp_path / "S5.json"
+    group.write_text(json.dumps({"degree": 5, "generators": [[[1, 2]], [[1, 2, 3, 4, 5]]]}))
+    child = textwrap.dedent(
+        f"""
+        import resource, sys
+        from tautilt import cli, engine, functors, homalg, modules, rings  # one BLAS thread
+        import numpy as np
+
+        # OpenBLAS allocates its work buffer on the first large product and
+        # ends the process itself if that fails: make it before the cap.
+        np.ones((256, 256)) @ np.ones((256, 256))
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (size + (8 << 20), hard))
+        sys.exit(cli.main(["stt", {str(group)!r}, "--p", "5", "--no-cache"]))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tautilt.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_cache_entry_invalidated_by_source_edit(group_files, tmp_path):
