@@ -1,7 +1,8 @@
 """Group algebras kG over GF(p^m), their centers and block decompositions.
 
 A group algebra element is a coefficient vector indexed by the canonical
-element order of the group.  Blocks are central primitive idempotents,
+element order of the group; products and sums of such vectors are
+products through ``ff._matmul``.  Blocks are central primitive idempotents,
 found by splitting the separable part of the center (conjugacy-class sums)
 and ordered deterministically: principal block first, then by dimension,
 then by idempotent coefficient vector.
@@ -14,7 +15,7 @@ from math import lcm
 import numpy as np
 
 from . import rings
-from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, field_create
+from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, _matmul, field_create
 from .groups import FiniteGroup, SubgroupEmbedding
 
 
@@ -76,24 +77,14 @@ class GroupAlgebra:
         v[self.group.identity] = 1
         return v
 
-    def basis_vector(self, elt_idx: int) -> list[int]:
-        v = self.zero()
-        v[elt_idx] = 1
-        return v
-
     def mul_vec(self, a, b) -> list[int]:
-        """The product of two coefficient vectors.  The base-p digits of
-        every product a_i b_j of nonzero coefficients are summed at the
-        index of g_i g_j, exact in float64, then reduced mod p once and
-        encoded."""
-        F = self.field
-        a, b = np.asarray(a), np.asarray(b)
-        i, j = a.nonzero()[0], b.nonzero()[0]
-        where = self.group.table[i[:, None], j].ravel()
-        terms = F.mul_table[a[i][:, None], b[j]].ravel()
-        sums = [np.bincount(where, plane[terms], self.dim) for plane in F.digit_planes]
-        coords = np.array(sums).astype(np.int64) % F.p
-        return (F.places @ coords).tolist()
+        """The product of two coefficient vectors: its coefficient at g_k
+        is sum_i a_i b_(g_i^-1 g_k), one product of the nonzero a_i with
+        the rows b[table[inv(g_i)]], so nnz(a) |G| multiply-adds."""
+        a, b = np.asarray(a, dtype=_CODE_DTYPE), np.asarray(b, dtype=_CODE_DTYPE)
+        i = a.nonzero()[0]
+        rows = b[self.group.table[[self.group.inv(x) for x in i]]]
+        return _matmul(self.field, a[None, i], rows)[0].tolist()
 
     @property
     def regular_actions(self) -> np.ndarray:
@@ -142,19 +133,17 @@ class GroupAlgebra:
 class Block:
     """A block of kG: a central primitive idempotent with bookkeeping."""
 
-    def __init__(self, parent: GroupAlgebra, idempotent, index: int = -1):
+    def __init__(self, parent: GroupAlgebra, idempotent):
         self.parent = parent
         self.idempotent = list(idempotent)
-        self.index = index
+        self.index = -1  # set by block_decomposition
         # left multiplication by e has entry (i, j) = e_(i j^-1); taking its
         # columns in the order of the inverses leaves e_(ij), and the rank
-        mult = np.asarray(self.idempotent, dtype=_CODE_DTYPE)[parent.group.table]
-        self.dim = FFMatrix._trusted(parent.field, mult).rank()
-        F = parent.field
-        s = 0
-        for c in self.idempotent:
-            s = F.add(s, c)
-        self.is_principal = s != 0  # nonzero action on the trivial module
+        e = np.asarray(self.idempotent, dtype=_CODE_DTYPE)
+        self.dim = FFMatrix._trusted(parent.field, e[parent.group.table]).rank()
+        # nonzero action on the trivial module: the sum of the coefficients
+        ones = np.ones((parent.dim, 1), dtype=_CODE_DTYPE)
+        self.is_principal = bool(_matmul(parent.field, e[None, :], ones)[0, 0])
 
     @property
     def field(self) -> FieldSpec:
@@ -183,10 +172,8 @@ def block_decomposition(algebra: GroupAlgebra) -> list[Block]:
     )
     blocks = [Block(algebra, e) for e in idems]
     # sanity: orthogonal decomposition of 1
-    total = algebra.zero()
-    for b in blocks:
-        total = [field.add(x, y) for x, y in zip(total, b.idempotent)]
-    if total != algebra.unit():
+    ones = np.ones((1, len(idems)), dtype=_CODE_DTYPE)
+    if _matmul(field, ones, np.array(idems, dtype=_CODE_DTYPE))[0].tolist() != algebra.unit():
         raise AssertionError("block idempotents do not sum to 1")
     blocks.sort(key=lambda b: (not b.is_principal, b.dim, tuple(b.idempotent)))
     for i, b in enumerate(blocks):

@@ -6,8 +6,11 @@ deterministic byte-for-byte for a fixed configuration; expensive results
 are cached on disk keyed by a content hash over (command, configuration,
 group data and the group names the output prints); an entry is served
 only to the tool version and package sources that wrote it, before any
-numeric module loads.  TAUTILT_CACHE overrides the cache directory;
---no-cache disables caching.
+numeric module loads.  --cache-dir or TAUTILT_CACHE overrides the cache
+directory; --no-cache disables caching.
+
+The commands read their options from argparse: ``_cached`` turns them
+into the cache directory and key, ``_algebras`` into the field.
 
 Exit codes: 0 success, 2 parse error or unwritable output file, 3 cap
 exceeded or out of memory, 4 embedding not normal, 5 verification failure,
@@ -49,44 +52,6 @@ class CliError(Exception):
         self.code = code
 
 
-class SessionConfig:
-    def __init__(
-        self,
-        p: int,
-        m: int | None = None,  # None = splitting-field heuristic
-        group_order_cap: int = 10000,
-        poset_node_cap: int = 512,
-        cache_dir: str | None = None,
-    ):
-        self.p = p
-        self.m = m
-        self.group_order_cap = group_order_cap
-        self.poset_node_cap = poset_node_cap
-        self.cache_dir = cache_dir
-
-    def resolve_degree(self, groups) -> int:
-        from .algebra import splitting_field_degree
-
-        if self.m is not None:
-            return self.m
-        return splitting_field_degree(self.p, groups)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "group_order_cap": self.group_order_cap,
-            "poset_node_cap": self.poset_node_cap,
-        }
-
-
-def default_cache_dir() -> str | None:
-    env = os.environ.get("TAUTILT_CACHE")
-    if env:
-        return env
-    return str(Path.home() / ".cache" / "tautilt")
-
-
 def source_digest() -> str:
     """SHA-256 over the package's Python sources, by file name and content."""
     h = hashlib.sha256()
@@ -106,8 +71,7 @@ class Cache:
 
     @staticmethod
     def key(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return hashlib.sha256(_json_text(payload).encode()).hexdigest()
 
     def load(self, key: str, fields) -> dict | None:
         """The outputs stored under ``key``, or None for a miss: no entry, an
@@ -141,20 +105,32 @@ class Cache:
             "key": key,
             "outputs": outputs,
         }
-        blob = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            _replace_file(self.directory / f"{key}.json", blob.encode())
+            _replace_file(self.directory / f"{key}.json", _json_text(entry).encode())
         except OSError:
             pass
 
 
-def _cached(config: SessionConfig, request: dict, fields, compute) -> dict:
-    """The outputs of ``request`` (a command and its inputs) under
-    ``config``: from the cache if it holds all of ``fields``, else from
-    ``compute()``, which is then stored."""
-    cache = Cache(config.cache_dir)
-    key = cache.key({**request, "config": config.to_json()})
+def _cached(args, request: dict, fields, compute) -> dict:
+    """The outputs of ``request`` (a command and its inputs) under the
+    options in ``args``: from the cache if it holds all of ``fields``, else
+    from ``compute()``, which is then stored.  The cache directory is none
+    with --no-cache, else --cache-dir, else TAUTILT_CACHE, else
+    ~/.cache/tautilt."""
+    directory = None if args.no_cache else (
+        args.cache_dir
+        or os.environ.get("TAUTILT_CACHE")
+        or str(Path.home() / ".cache" / "tautilt")
+    )
+    cache = Cache(directory)
+    config = {
+        "p": args.p,
+        "m": args.m,
+        "group_order_cap": args.order_cap,
+        "poset_node_cap": args.node_cap,
+    }
+    key = cache.key({**request, "config": config})
     outputs = cache.load(key, fields)
     if outputs is None:
         outputs = compute()
@@ -199,36 +175,27 @@ def _read_group(path: str) -> dict:
     return {"name": Path(path).stem, "data": _read_json_file(path)}
 
 
-def _build_group(path: str, group: dict, config: SessionConfig):
+def _build_group(path: str, group: dict, order_cap: int):
     """The ``FiniteGroup`` of a group read by ``_read_group`` from ``path``."""
     from .groups import GroupError, group_from_json
 
     try:
-        return group_from_json(
-            group["data"], name=group["name"], order_cap=config.group_order_cap
-        )
+        return group_from_json(group["data"], name=group["name"], order_cap=order_cap)
     except GroupError as e:
         if "cap" in str(e):
             raise CliError(str(e), EXIT_CAP) from e
         raise CliError(f"bad group file {path}: {e}", EXIT_PARSE) from e
 
 
-def _session_algebra(group, config: SessionConfig, field=None):
-    """The group algebra over the session field (by default the one the
-    configuration resolves for this group)."""
-    from .algebra import GroupAlgebra
+def _algebras(args, *groups) -> list:
+    """The group algebras of ``groups`` over one field, GF(p^m) for --m, or
+    by default the splitting field the last group needs."""
+    from .algebra import GroupAlgebra, splitting_field_degree
     from .ff import field_create
 
-    if field is None:
-        field = field_create(config.p, config.resolve_degree([group]))
-    return GroupAlgebra(group, field)
-
-
-def _embedding_algebras(sub, amb, config: SessionConfig):
-    """Algebras of the subgroup and the overgroup over the one field the
-    overgroup resolves."""
-    amb_alg = _session_algebra(amb, config)
-    return _session_algebra(sub, config, amb_alg.field), amb_alg
+    m = splitting_field_degree(args.p, groups[-1:]) if args.m is None else args.m
+    field = field_create(args.p, m)
+    return [GroupAlgebra(group, field) for group in groups]
 
 
 def _embedding_or_die(sub, amb, need_normal: bool):
@@ -243,37 +210,38 @@ def _embedding_or_die(sub, amb, need_normal: bool):
     return emb
 
 
-def _field_json(field) -> dict:
-    return {"p": field.p, "m": field.m, "modulus": list(field.modulus)}
+def _json_text(payload: dict) -> str:
+    """The one JSON form of the CLI: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json_text(payload) + "\n"
 
 
 # -- commands ----------------------------------------------------------------------
 
 
-def cmd_blocks(args, config: SessionConfig) -> int:
+def cmd_blocks(args) -> int:
     group_in = _read_group(args.group)
     outputs = _cached(
-        config,
+        args,
         {"cmd": "blocks", "group": group_in},
         ("stdout",),
-        lambda: _blocks_outputs(args, group_in, config),
+        lambda: _blocks_outputs(args, group_in),
     )
     sys.stdout.write(outputs["stdout"])
     return EXIT_OK
 
 
-def _blocks_outputs(args, group_in: dict, config: SessionConfig) -> dict:
-    group = _build_group(args.group, group_in, config)
-    algebra = _session_algebra(group, config)
+def _blocks_outputs(args, group_in: dict) -> dict:
+    group = _build_group(args.group, group_in, args.order_cap)
+    (algebra,) = _algebras(args, group)
     blocks = algebra.blocks()
     payload = {
         "group": group.name,
         "order": group.order,
-        "field": _field_json(algebra.field),
+        "field": algebra.field.to_json(),
         "count": len(blocks),
         "blocks": [
             {
@@ -288,13 +256,13 @@ def _blocks_outputs(args, group_in: dict, config: SessionConfig) -> dict:
     return {"stdout": _json_line(payload)}
 
 
-def cmd_stt(args, config: SessionConfig) -> int:
+def cmd_stt(args) -> int:
     group_in = _read_group(args.group)
     outputs = _cached(
-        config,
+        args,
         {"cmd": "stt", "group": group_in, "block": args.block},
         ("stdout", "json", "dot"),
-        lambda: _stt_outputs(args, group_in, config),
+        lambda: _stt_outputs(args, group_in),
     )
     if args.json:
         _atomic_write(args.json, outputs["json"].encode())
@@ -304,10 +272,10 @@ def cmd_stt(args, config: SessionConfig) -> int:
     return EXIT_OK
 
 
-def _stt_outputs(args, group_in: dict, config: SessionConfig) -> dict:
-    from .engine import PosetCapExceeded, TiltingContext, enumerate_poset, poset_json_bytes
+def _stt_outputs(args, group_in: dict) -> dict:
+    from .engine import PosetCapExceeded, TiltingContext, enumerate_poset
 
-    algebra = _session_algebra(_build_group(args.group, group_in, config), config)
+    (algebra,) = _algebras(args, _build_group(args.group, group_in, args.order_cap))
     block = None
     if args.block is not None:
         blocks = algebra.blocks()
@@ -319,34 +287,34 @@ def _stt_outputs(args, group_in: dict, config: SessionConfig) -> dict:
         block = blocks[args.block]
     ctx = TiltingContext(algebra, block)
     try:
-        poset = enumerate_poset(ctx, node_cap=config.poset_node_cap)
+        poset = enumerate_poset(ctx, node_cap=args.node_cap)
     except PosetCapExceeded as e:
         raise CliError(f"{e} (no partial files written)", EXIT_CAP) from e
     edge_word = "edge" if poset.n_edges == 1 else "edges"
     return {
         "stdout": f"{poset.n_nodes} nodes, {poset.n_edges} {edge_word}\n",
-        "json": poset_json_bytes(poset).decode(),
+        "json": _json_line(poset.to_json()),
         "dot": poset.to_dot(),
     }
 
 
-def cmd_verify(args, config: SessionConfig) -> int:
+def cmd_verify(args) -> int:
     sub_in = _read_group(args.sub)
     amb_in = _read_group(args.amb)
     wanted = set(args.theorems)
     if "all" in wanted:
         wanted = set(THEOREM_IDS[1:])
     outputs = _cached(
-        config,
+        args,
         {"cmd": "verify", "sub": sub_in, "amb": amb_in, "theorems": sorted(wanted)},
         ("stdout", "passed"),
-        lambda: _verify_outputs(args, sub_in, amb_in, wanted, config),
+        lambda: _verify_outputs(args, sub_in, amb_in, wanted),
     )
     sys.stdout.write(outputs["stdout"])
     return EXIT_OK if outputs["passed"] else EXIT_VERIFY
 
 
-def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: SessionConfig) -> dict:
+def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set) -> dict:
     from .engine import PosetCapExceeded, TiltingContext, enumerate_poset
     from .functors import (
         InductionContext,
@@ -354,14 +322,14 @@ def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: Sessi
         verify_syzygy_commutation,
     )
 
-    sub = _build_group(args.sub, sub_in, config)
-    amb = _build_group(args.amb, amb_in, config)
+    sub = _build_group(args.sub, sub_in, args.order_cap)
+    amb = _build_group(args.amb, amb_in, args.order_cap)
     emb = _embedding_or_die(sub, amb, need_normal=True)
-    sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
+    sub_alg, amb_alg = _algebras(args, sub, amb)
     ictx = InductionContext(emb, sub_alg, amb_alg)
     amb_ctx = TiltingContext(amb_alg)
     try:
-        amb_poset = enumerate_poset(amb_ctx, node_cap=config.poset_node_cap)
+        amb_poset = enumerate_poset(amb_ctx, node_cap=args.node_cap)
     except PosetCapExceeded as e:
         raise CliError(str(e), EXIT_CAP) from e
     block_reports = []
@@ -376,7 +344,7 @@ def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: Sessi
     for block in sub_alg.blocks():
         ctx = TiltingContext(sub_alg, block)
         try:
-            poset = enumerate_poset(ctx, node_cap=config.poset_node_cap)
+            poset = enumerate_poset(ctx, node_cap=args.node_cap)
         except PosetCapExceeded as e:
             raise CliError(str(e), EXIT_CAP) from e
         main = verify_main_theorems(ictx, block, poset, amb_ctx, amb_poset)
@@ -419,7 +387,7 @@ def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: Sessi
     payload = {
         "sub": sub.name,
         "amb": amb.name,
-        "field": _field_json(amb_alg.field),
+        "field": amb_alg.field.to_json(),
         "normal": True,
         "index": emb.n_cosets,
         "coset_reps": [list(amb.elements[r]) for r in emb.coset_reps],
@@ -430,16 +398,16 @@ def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set, config: Sessi
     return {"stdout": _json_line(payload), "passed": overall}
 
 
-def _embedded_module(args, config: SessionConfig, need_normal: bool):
+def _embedded_module(args, need_normal: bool):
     """The embedding of ``args.sub`` in ``args.amb``, the algebras of both
     groups and the module of ``args.module`` over the subgroup's algebra."""
     from .modules import module_from_json
 
-    sub = _build_group(args.sub, _read_group(args.sub), config)
-    amb = _build_group(args.amb, _read_group(args.amb), config)
+    sub = _build_group(args.sub, _read_group(args.sub), args.order_cap)
+    amb = _build_group(args.amb, _read_group(args.amb), args.order_cap)
     emb = _embedding_or_die(sub, amb, need_normal=need_normal)
     module_data = _read_json_file(args.module)
-    sub_alg, amb_alg = _embedding_algebras(sub, amb, config)
+    sub_alg, amb_alg = _algebras(args, sub, amb)
     try:
         M = module_from_json(module_data, algebra=sub_alg)
     except MemoryError:
@@ -449,11 +417,11 @@ def _embedded_module(args, config: SessionConfig, need_normal: bool):
     return emb, sub_alg, amb_alg, M
 
 
-def cmd_induce(args, config: SessionConfig) -> int:
+def cmd_induce(args) -> int:
     from .functors import InductionContext, induce
     from .modules import module_to_json
 
-    emb, sub_alg, amb_alg, M = _embedded_module(args, config, need_normal=False)
+    emb, sub_alg, amb_alg, M = _embedded_module(args, need_normal=False)
     ind = induce(InductionContext(emb, sub_alg, amb_alg, require_normal=False), M)
     blob = _json_line(module_to_json(ind))
     if args.out:
@@ -463,10 +431,10 @@ def cmd_induce(args, config: SessionConfig) -> int:
     return EXIT_OK
 
 
-def cmd_mackey(args, config: SessionConfig) -> int:
+def cmd_mackey(args) -> int:
     from .functors import InductionContext, mackey_decomposition
 
-    emb, sub_alg, amb_alg, M = _embedded_module(args, config, need_normal=True)
+    emb, sub_alg, amb_alg, M = _embedded_module(args, need_normal=True)
     witness = mackey_decomposition(
         InductionContext(emb, sub_alg, amb_alg), M
     )
@@ -539,17 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> SessionConfig:
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    return SessionConfig(
-        p=args.p,
-        m=args.m,
-        group_order_cap=args.order_cap,
-        poset_node_cap=args.node_cap,
-        cache_dir=cache_dir,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -561,7 +518,7 @@ def main(argv=None) -> int:
         "mackey": cmd_mackey,
     }
     try:
-        return handlers[args.command](args, config_from_args(args))
+        return handlers[args.command](args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

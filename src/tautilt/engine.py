@@ -17,7 +17,6 @@ cross-checkable against the covering relations recomputed from the order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 from . import homalg
@@ -140,9 +139,6 @@ class STauTiltPair:
     def module(self) -> RepModule:
         return self.ctx.module_of_ids(self.m_ids)
 
-    def projective(self) -> RepModule:
-        return self.ctx.module_of_ids(self.p_ids)
-
     def label(self) -> str:
         reg = self.ctx.registry
         if not self.m_ids:
@@ -160,13 +156,9 @@ class STauTiltPair:
         return f"Pair({self.label()}" + (f" | {sup})" if sup else ")")
 
 
-def pair_from_modules(ctx: TiltingContext, M: RepModule, P: RepModule | None = None) -> STauTiltPair:
-    """Basicify arbitrary module data into a pair."""
-    m_ids = tuple(sorted(set(ctx.registry.ids_of(M)))) if M.dim else ()
-    p_ids = ()
-    if P is not None and P.dim:
-        p_ids = tuple(sorted(set(ctx.registry.ids_of(P))))
-    return STauTiltPair(ctx, m_ids, p_ids)
+def pair_from_modules(ctx: TiltingContext, M: RepModule) -> STauTiltPair:
+    """The pair of M over ctx, basic and with no projective part."""
+    return STauTiltPair(ctx, tuple(ctx.registry.ids_of(M)) if M.dim else ())
 
 
 @dataclass
@@ -542,7 +534,6 @@ class HassePoset:
 
     def to_json(self) -> dict:
         ctx = self.ctx
-        field = ctx.algebra.field
         nodes = []
         for p in self.nodes:
             cert = certify_support_tau_tilting(p)
@@ -558,7 +549,7 @@ class HassePoset:
             )
         return {
             "context": ctx.describe(),
-            "field": {"p": field.p, "m": field.m, "modulus": list(field.modulus)},
+            "field": ctx.algebra.field.to_json(),
             "n_nodes": self.n_nodes,
             "n_edges": self.n_edges,
             "top": self.top_index,
@@ -613,6 +604,3 @@ def enumerate_poset(ctx: TiltingContext, node_cap: int = 512) -> HassePoset:
             raise EngineError(f"enumerated node fails certification: {p!r}")
     return HassePoset(ctx, pairs, edges)
 
-
-def poset_json_bytes(poset: HassePoset) -> bytes:
-    return (json.dumps(poset.to_json(), sort_keys=True, separators=(",", ":")) + "\n").encode()

@@ -67,7 +67,7 @@ functions and safe to share across workers.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -215,6 +215,10 @@ class FieldSpec:
 
     def frobenius_inv(self, a: int, k: int = 1) -> int:
         return self.frobenius(a, (-k) % self.m)
+
+    def to_json(self) -> dict:
+        """The field record of every JSON output and module file."""
+        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     def element_from_int(self, n: int) -> int:
         """The image of the integer n under Z -> GF(p^m)."""
@@ -368,10 +372,6 @@ class FFMatrix:
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "FFMatrix":
         return FFMatrix._trusted(field, np.eye(n, dtype=_CODE_DTYPE))
-
-    @staticmethod
-    def from_rows(field: FieldSpec, rows: Iterable[Iterable[int]]) -> "FFMatrix":
-        return FFMatrix(field, [list(r) for r in rows])
 
     # -- basics ----------------------------------------------------------
 

@@ -280,7 +280,7 @@ def verify_main_theorems(
     B: Block,
     poset,
     target_ctx: TiltingContext,
-    target_poset=None,
+    target_poset,
 ) -> TheoremReport:
     """The full pipeline over an enumerated poset of the block B:
 
@@ -289,8 +289,8 @@ def verify_main_theorems(
     over every covering block (T3.3); (iii) check order preservation and
     reflection on all invariant pairs (C3.4, T3.6); (iv) re-derive each
     node's certification from its induction through the restriction side
-    (P3.5); (v) report injectivity of the induced map and, when the target
-    poset is supplied, surjectivity onto it.
+    (P3.5); (v) report injectivity of the induced map and its
+    surjectivity onto ``target_poset``, the poset of ``target_ctx``.
 
     The report also carries the block's ``inertial`` group and its
     ``invariant_nodes``."""
@@ -384,11 +384,12 @@ def verify_main_theorems(
     keys = [img.image.key for img in images]
     injective = len(set(keys)) == len(keys)
     clauses.append(ClauseResult("induced_map_injective", injective, {}))
-    image_info: dict = {"image_size": len(set(keys))}
-    if target_poset is not None:
-        target_keys = {p.key for p in target_poset.nodes}
-        image_info["target_size"] = len(target_keys)
-        image_info["onto_target_poset"] = set(keys) == target_keys
+    target_keys = {p.key for p in target_poset.nodes}
+    image_info = {
+        "image_size": len(set(keys)),
+        "target_size": len(target_keys),
+        "onto_target_poset": set(keys) == target_keys,
+    }
     clauses.append(ClauseResult("induced_map_image", True, image_info))
     report = TheoremReport(
         "T3.2+T3.3+C3.4+P3.5+T3.6",

@@ -29,7 +29,7 @@ class ModuleError(ValueError):
 class RepModule:
     """A finitely generated left module given by generator action matrices."""
 
-    def __init__(self, algebra: GroupAlgebra, gen_mats, label: str = "", verify: bool = False):
+    def __init__(self, algebra: GroupAlgebra, gen_mats, label: str = ""):
         self.algebra = algebra
         self.gen_mats = tuple(gen_mats)
         if len(self.gen_mats) != len(algebra.group.generators):
@@ -46,8 +46,6 @@ class RepModule:
         self.sum_parts = None  # set by direct_sum: list of (part, offset)
         self._actions = None
         self._registry_id = None
-        if verify:
-            self.verify_action()
 
     @property
     def field(self) -> FieldSpec:
@@ -358,10 +356,6 @@ class Decomposition:
             out[pid] = out.get(pid, 0) + 1
         return out
 
-    @property
-    def n_iso_classes(self) -> int:
-        return len(set(self.part_ids))
-
     def change_of_basis(self) -> FFMatrix:
         if not self.parts:
             return FFMatrix.zeros(self.module.field, 0, 0)
@@ -597,9 +591,6 @@ class ModuleRegistry:
     def is_projective_id(self, idx: int) -> bool:
         return idx in set(self.pim_ids())
 
-    def n_simples(self) -> int:
-        return len(self.simple_ids())
-
     def label(self, idx: int) -> str:
         from . import homalg
 
@@ -619,7 +610,7 @@ class ModuleRegistry:
 
 def module_to_json(M: RepModule) -> dict:
     return {
-        "field": {"p": M.field.p, "m": M.field.m, "modulus": list(M.field.modulus)},
+        "field": M.field.to_json(),
         "group": group_to_json(M.algebra.group),
         "dim": M.dim,
         "generator_matrices": [g.entries() for g in M.gen_mats],
@@ -646,5 +637,7 @@ def module_from_json(data, algebra: GroupAlgebra | None = None) -> RepModule:
             raise ModuleError(f"generator matrix {k}: entry {bad[0]!r} is not a field code "
                               f"in range({field.q})")
         arr = np.array(entries, dtype=_CODE_DTYPE).reshape(dim, dim)
-        mats.append(FFMatrix(field, arr))
-    return RepModule(algebra, mats, label=data.get("label", ""), verify=True)
+        mats.append(FFMatrix._trusted(field, arr))
+    M = RepModule(algebra, mats, label=data.get("label", ""))
+    M.verify_action()
+    return M

@@ -21,7 +21,11 @@ each one elimination or one pass over the terms:
 * ``in_span``: coordinates of targets in a span, or None;
 * ``extend_basis``: which candidates, taken in order, enlarge a span (the
   pivot columns of one elimination of ``[basis | candidates]``);
-* ``combine``: the linear combination sum c_i M_i.
+* ``combine``: the linear combination sum c_i M_i, one product of the
+  coefficient row with the stacked matrices.
+
+Every sum of products of codes here is a product through ``ff._matmul``,
+which owns the coefficient planes and their float64 exactness check.
 """
 
 from __future__ import annotations
@@ -59,8 +63,7 @@ def reduce_span(field: FieldSpec, mats: list[FFMatrix]) -> list[FFMatrix]:
     if not mats:
         return []
     shape = mats[0].shape
-    stacked = FFMatrix._trusted(field, np.array([m.data.ravel() for m in mats]))
-    basis = stacked.row_space_basis()
+    basis = FFMatrix._trusted(field, _stacked(mats)).row_space_basis()
     return [FFMatrix._trusted(field, row.reshape(shape)) for row in basis.data]
 
 
@@ -86,27 +89,24 @@ def extend_basis(field: FieldSpec, basis: list[FFMatrix], candidates: list[FFMat
     return [c - len(basis) for c in pivots if c >= len(basis)]
 
 
+def _stacked(mats: list[FFMatrix]) -> np.ndarray:
+    """The matrices flattened, one per row."""
+    return np.array([m.data.ravel() for m in mats])
+
+
 def combine(field: FieldSpec, coeffs, mats: list[FFMatrix]) -> FFMatrix:
-    """sum c_i M_i for field codes c_i and at least one matrix, all of one
-    shape.  The base-p digits of the scaled terms are summed, exact in
-    float64, then reduced mod p once and encoded: one accumulator, however
-    many terms."""
-    planes, mul = field.digit_planes, field.mul_table
-    acc = np.zeros((field.m, *mats[0].shape))
-    for c, M in zip(coeffs, mats):
-        if c:
-            acc += planes[:, mul[c, M.data]]
-    coords = acc.astype(np.int64)
-    coords %= field.p
-    return FFMatrix._trusted(field, np.tensordot(field.places, coords, 1))
+    """sum c_i M_i for one field code c_i per matrix, at least one matrix,
+    all of one shape: one product of the coefficient row with the matrices
+    stacked as rows."""
+    row = np.array([coeffs], dtype=_CODE_DTYPE)
+    return FFMatrix._trusted(field, _matmul(field, row, _stacked(mats)).reshape(mats[0].shape))
 
 
 def _trace_form(field: FieldSpec, J: list[FFMatrix]) -> FFMatrix:
     """The matrix with entry (b, u) = e_1(u b) = tr(u b) = sum_ij u_ij b_ji,
     for u and b running over J: one product of the flattened b^T and u."""
-    U = np.array([u.data.ravel() for u in J])
     B = np.array([b.data.T.ravel() for b in J])
-    return FFMatrix._trusted(field, _matmul(field, B, U.T))
+    return FFMatrix._trusted(field, _matmul(field, B, _stacked(J).T))
 
 
 def _stage_matrix(field: FieldSpec, J: list[FFMatrix], pk: int, charpolys: dict) -> FFMatrix:
@@ -162,12 +162,13 @@ def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
             C = _trace_form(field, J)
         else:
             C = _stage_matrix(field, J, pk, charpolys)
-        sol = C.nullspace()  # columns: s-coordinate solutions
-        newJ = [
-            combine(field, [field.frobenius_inv(int(s), k) for s in sol.data[:, j]], J)
-            for j in range(sol.cols)
-        ]
-        J = reduce_span(field, newJ)
+        # rows: the solutions s, then t_i = s_i^(1/pk), and all the new
+        # elements sum t_i u_i in one product with the stacked J
+        t = C.nullspace().data.T
+        for _ in range(-k % field.m):
+            t = field.frob_table[t]
+        newJ = _matmul(field, t, _stacked(J)).reshape(-1, n, n)
+        J = reduce_span(field, [FFMatrix._trusted(field, x) for x in newJ])
         k += 1
         pk *= p
     for x in J:
@@ -378,12 +379,12 @@ def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
         return sol
 
     def eval_poly(coeffs, v, local_unit):
-        acc = [0] * len(v)
-        for c in reversed(list(coeffs)):
-            acc = mul_vec(acc, v)
-            if c:
-                acc = [field.add(a, field.mul(c, u)) for a, u in zip(acc, local_unit)]
-        return acc
+        """sum_k c_k v^k with v^0 the local unit: one product of the
+        coefficients with the stacked powers."""
+        powers = [_row(field, local_unit)]
+        for _ in coeffs[1:]:
+            powers.append(_row(field, mul_vec(powers[-1].entries(), v)))
+        return combine(field, coeffs, powers).entries()
 
     def split(local_unit, sub_basis):
         if len(sub_basis) == 1:
@@ -395,7 +396,7 @@ def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
             e = eval_poly(ecoeffs, b.entries(), local_unit)
             if not any(e):
                 continue
-            rest = [field.sub(u, x) for u, x in zip(local_unit, e)]
+            rest = (_row(field, local_unit) - _row(field, e)).entries()
             left = reduce_span(field, [_row(field, mul_vec(e, v.entries())) for v in sub_basis])
             right = reduce_span(field, [_row(field, mul_vec(rest, v.entries())) for v in sub_basis])
             return split(e, left) + split(rest, right)

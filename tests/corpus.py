@@ -68,6 +68,13 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> tuple[FiniteGroup, Subgr
 # -- submodules --------------------------------------------------------------
 
 
+def group_element(algebra, i: int) -> list[int]:
+    """The coefficient vector of the i-th group element in kG."""
+    v = algebra.zero()
+    v[i] = 1
+    return v
+
+
 def spanned_submodule(M: RepModule, vectors: FFMatrix) -> tuple[RepModule, FFMatrix]:
     """Submodule generated by arbitrary column vectors: close under the
     generator actions, then reduce to a basis."""

@@ -16,7 +16,7 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
 * the radical that took one charpoly per entry of every stage matrix
   (``test_rings.py``), and the group algebra product that composed the
   permutations of every pair of group elements (``test_algebra.py``);
-* the per-element word products, the support-and-``combine`` loop and the
+* the per-element word products, the support-and-scale-add loop and the
   column-at-a-time regular hom that the action stack of a module replaced
   (``test_actions.py``).
 
@@ -389,7 +389,7 @@ def entrywise_radical(field: FieldSpec, basis) -> list[FFMatrix]:
         J = rings.reduce_span(
             field,
             [
-                rings.combine(field, [field.frobenius_inv(int(s), k) for s in sol.data[:, j]], J)
+                scale_add_combine(field, [field.frobenius_inv(int(s), k) for s in sol.data[:, j]], J)
                 for j in range(sol.cols)
             ],
         )
@@ -448,7 +448,7 @@ def support_combine_action(M, mats, vec) -> FFMatrix:
     support = [i for i, c in enumerate(vec) if c]
     if not support:
         return FFMatrix.zeros(M.field, M.dim, M.dim)
-    return rings.combine(M.field, [vec[i] for i in support], [mats[i] for i in support])
+    return scale_add_combine(M.field, [vec[i] for i in support], [mats[i] for i in support])
 
 
 def column_regular_hom(M, N, mats) -> list[FFMatrix]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import fixture_groups, random_invertible
+from corpus import fixture_groups, group_element, random_invertible
 from ff_oracles import column_regular_hom, support_combine_action, word_actions
 from tautilt.algebra import GroupAlgebra
 from tautilt.ff import FFMatrix, block_diag, field_create
@@ -118,7 +118,7 @@ def test_verify_action_rejects_a_singular_generator(case, data):
     broken = [A.data.copy() for A in M.gen_mats]
     broken[pos][:, 0] = 0
     with pytest.raises(ModuleError):
-        RepModule(M.algebra, [FFMatrix(M.field, A) for A in broken], verify=True)
+        RepModule(M.algebra, [FFMatrix(M.field, A) for A in broken]).verify_action()
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -130,5 +130,5 @@ def test_regular_modules_share_the_permutation_stack(name):
     G = alg.group
     for g in range(G.order):
         for j in range(G.order):
-            assert M.actions[g, :, j].tolist() == alg.basis_vector(G.mul(g, j))
+            assert M.actions[g, :, j].tolist() == group_element(alg, G.mul(g, j))
     assert [M.action_of(g) for g in range(G.order)] == word_actions(M)

@@ -250,6 +250,21 @@ def test_running_out_of_address_space_exits_3_with_one_line(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+# The cache key of `stt S3.json --p 2 --block 0`: the SHA-256 of the
+# request (command, block, group data and printed name) and the
+# configuration (--p, --m, the order and node caps).  It changes only if
+# what the key covers changes, and then every stored entry is a miss.
+STT_S3_KEY = "41657c2ca80b15ca3e91adbdc624585b52c5e063e92c0884ad71ff855e25813d"
+
+
+def test_cache_key_of_an_stt_request_is_pinned(group_files, capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["stt", group_files["S3"], "--p", "2", "--block", "0", "--cache-dir", str(cache)]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert [entry.stem for entry in cache.glob("*.json")] == [STT_S3_KEY]
+
+
 def test_cache_entry_invalidated_by_source_edit(group_files, tmp_path):
     """A hit serves the stored bytes; after a package source changes, the
     same key is a miss and the run computes afresh."""

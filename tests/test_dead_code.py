@@ -1,7 +1,9 @@
 """Nothing is kept in ``src/tautilt`` that nothing calls: every module-level
 function or class is referenced from package code other than its own
-definition, or is exported in ``tautilt.__all__``.  Docstrings and imports
-are not references; dunders are exempt."""
+definition, or is exported in ``tautilt.__all__``; every method is
+referenced by name from package code other than its own body, or is in
+PUBLIC_METHODS.  Docstrings and imports are not references; dunders are
+exempt."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,17 @@ from pathlib import Path
 import tautilt
 
 SRC = Path(tautilt.__file__).parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Methods that no package code calls but that are public API: the order
+# helpers of the poset, which README and the acceptance tests read.
+PUBLIC_METHODS = {
+    "HassePoset.successors",
+    "HassePoset.covering_edges_from_order",
+    "HassePoset.is_connected_from_top",
+    "HassePoset.maxima",
+    "HassePoset.minima",
+}
 
 
 def _references(node) -> set[str]:
@@ -22,27 +35,48 @@ def _references(node) -> set[str]:
     return out
 
 
+def _parts(stmt) -> list:
+    """(method name or None, node) pairs that cover a top-level statement:
+    each method of a class on its own, everything else as it is."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(None, stmt)]
+    methods = [s for s in stmt.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    rest = [n for n in [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body]
+            if not any(n is m for m in methods)]
+    return [(m.name, m) for m in methods] + [(None, n) for n in rest]
+
+
 def unreferenced_definitions() -> list[str]:
-    defined = []  # (module, name)
-    used_outside = {}  # name -> modules/definitions that read it
+    defined = []  # (module, top-level name, method name or None)
+    readers = {}  # name -> the (module, top-level name, method) parts that read it
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         for stmt in ast.parse(path.read_text()).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = stmt.name
-                defined.append((module, owner))
-            for name in _references(stmt):
-                used_outside.setdefault(name, set()).add((module, owner))
+            top = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            if top is not None:
+                defined.append((module, top, None))
+            for method, node in _parts(stmt):
+                if method is not None:
+                    defined.append((module, top, method))
+                for name in _references(node):
+                    readers.setdefault(name, set()).add((module, top, method))
+
+    def is_own(reader, module, top, method):
+        return reader[:2] == (module, top) and method in (None, reader[2])
+
     exported = set(tautilt.__all__)
-    return sorted(
-        f"{module}.{name}"
-        for module, name in defined
-        if not (name.startswith("__") and name.endswith("__"))
-        and name not in exported
-        and not used_outside.get(name, set()) - {(module, name)}
-    )
+    unused = []
+    for module, top, method in defined:
+        name = method or top
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if (name in exported) if method is None else (f"{top}.{method}" in PUBLIC_METHODS):
+            continue
+        if all(is_own(r, module, top, method) for r in readers.get(name, ())):
+            unused.append(".".join(filter(None, (module, top, method))))
+    return sorted(unused)
 
 
 def test_every_definition_is_used_or_exported():
     assert unreferenced_definitions() == []
+

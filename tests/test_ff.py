@@ -92,7 +92,7 @@ class TestElimination:
 
     def test_gf2_hand_example(self):
         F = gf(2)
-        A = FFMatrix.from_rows(F, [[1, 1], [1, 1]])
+        A = FFMatrix(F, [[1, 1], [1, 1]])
         rank, ns = rank_and_nullspace(A)
         assert rank == 1
         assert ns.cols == 1
@@ -140,8 +140,8 @@ class TestElimination:
 
     def test_solve_inconsistent(self):
         F = gf(2)
-        A = FFMatrix.from_rows(F, [[1, 0], [1, 0]])
-        B = FFMatrix.from_rows(F, [[1], [0]])
+        A = FFMatrix(F, [[1, 0], [1, 0]])
+        B = FFMatrix(F, [[1], [0]])
         assert A.solve(B) is None
 
 
@@ -149,12 +149,12 @@ class TestPolynomialData:
     def test_minimal_polynomial_companion(self):
         F = gf(2)
         # companion matrix of x^2 + x + 1
-        C = FFMatrix.from_rows(F, [[0, 1], [1, 1]])
+        C = FFMatrix(F, [[0, 1], [1, 1]])
         assert C.minimal_polynomial() == (1, 1, 1)
 
     def test_charpoly_matches_minpoly_on_companion(self):
         F = gf(3)
-        C = FFMatrix.from_rows(F, [[0, 0, 1], [1, 0, 0], [0, 1, 2]])
+        C = FFMatrix(F, [[0, 0, 1], [1, 0, 0], [0, 1, 2]])
         assert C.charpoly() == C.minimal_polynomial()
 
     def test_charpoly_brute_force_2x2(self):
@@ -172,7 +172,7 @@ class TestPolynomialData:
 
     def test_apply_poly(self):
         F = gf(2, 2)
-        A = FFMatrix.from_rows(F, [[2, 0], [0, 3]])
+        A = FFMatrix(F, [[2, 0], [0, 3]])
         mp = A.minimal_polynomial()
         assert A.apply_poly(mp).is_zero()
 
@@ -191,13 +191,13 @@ class TestIntertwiner:
 
     def test_commutant_of_companion_brute_force(self):
         F = gf(2)
-        C = FFMatrix.from_rows(F, [[0, 1], [1, 1]])
+        C = FFMatrix(F, [[0, 1], [1, 1]])
         basis = solve_intertwiner_system(F, [(C, C)], (2, 2))
         # oracle: brute force over all 16 GF(2) matrices
         count = 0
         for bits in range(16):
             e = [(bits >> k) & 1 for k in range(4)]
-            X = FFMatrix.from_rows(F, [[e[0], e[1]], [e[2], e[3]]])
+            X = FFMatrix(F, [[e[0], e[1]], [e[2], e[3]]])
             if (X @ C) == (C @ X):
                 count += 1
         assert count == 4  # 2-dimensional commutant over GF(2)
@@ -223,8 +223,8 @@ class TestIntertwiner:
 class TestHelpers:
     def test_kron_shape_and_values(self):
         F = gf(3)
-        A = FFMatrix.from_rows(F, [[1, 2]])
-        B = FFMatrix.from_rows(F, [[2], [1]])
+        A = FFMatrix(F, [[1, 2]])
+        B = FFMatrix(F, [[2], [1]])
         K = kron(A, B)
         assert K.shape == (2, 2)
         assert K.entries() == [2, 4 % 3, 1, 2]
@@ -232,7 +232,7 @@ class TestHelpers:
     def test_block_diag(self):
         F = gf(2)
         A = FFMatrix.identity(F, 2)
-        B = FFMatrix.from_rows(F, [[1]])
+        B = FFMatrix(F, [[1]])
         D = block_diag(F, [A, B])
         assert D.shape == (3, 3)
         assert D == FFMatrix.identity(F, 3)

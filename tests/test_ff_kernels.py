@@ -110,8 +110,6 @@ def test_public_constructor_checks_ranges_and_results_are_frozen():
     for bad in ([[1.5, 2.9]], [[1.0]], [["1"]], [[2**70]]):
         with pytest.raises(FFError, match="must be integers"):
             FFMatrix(field, bad)
-        with pytest.raises(FFError, match="must be integers"):
-            FFMatrix.from_rows(field, bad)
     A = FFMatrix(field, [[1, 2], [3, 0]])
     for result in (A @ A, A + A, A - A, -A, A.scale(2), kron(A, A), A.hstack(A),
                    A.vstack(A), A.take_rows([1]), A.take_columns([0]), A.rref()[0],
