@@ -156,11 +156,6 @@ class STauTiltPair:
         return f"Pair({self.label()}" + (f" | {sup})" if sup else ")")
 
 
-def pair_from_modules(ctx: TiltingContext, M: RepModule) -> STauTiltPair:
-    """The pair of M over ctx, basic and with no projective part."""
-    return STauTiltPair(ctx, tuple(ctx.registry.ids_of(M)) if M.dim else ())
-
-
 @dataclass
 class Certificate:
     tau_rigid: bool

@@ -56,9 +56,13 @@ products against blocks, on one 2-core x86 box with identical output bytes:
   ``stt A5 --p 2`` (GF(16))                       164 MB   ->  50.7 MB
   ``stt S5 --p 5`` (GF(25))                       312 MB   ->  115 MB
 
-The planes of the side that is not split stay whole: a long inner dimension
-still costs 8 m s bytes per line of the other side, 27.6 MB for the
-(120 x 14400) @ (14400 x 120) trace form of kS5 over GF(25).
+When the planes of the side that is not split, 8 m s bytes per line of
+that side, would pass the budget alone, the inner dimension is split too:
+each output block sums the float64 plane products of blocks of inner
+indices, as many as the budget holds for that side, before the fold.  The
+2^53 bound covers the whole sum, so every partial sum is exact as well.
+The (120 x 14400) @ (14400 x 120) trace form of kS5 over GF(25) held 27.7 MiB
+of planes at once when that side stayed whole.
 
 Everything here is immutable after construction; operations are pure
 functions and safe to share across workers.
@@ -681,7 +685,8 @@ def _matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     m^2 s (p-1)^3 for inner dimension s, stay below 2^53; else FFError.  The
     mod-p step runs on int64, where numpy's % is several times faster than fmod.
     Over GF(2^m), m > 1, up to _GATHER_MATMUL_MACS multiply-adds: table products.
-    Temporaries past _MATMUL_BLOCK_BYTES: blocks of output rows or columns."""
+    Temporaries past _MATMUL_BLOCK_BYTES: blocks of output rows or columns,
+    and of the inner dimension when the planes of the other side pass it."""
     (r, s), c, p, m = A.shape, B.shape[1], f.p, f.m
     if m * m * s * (p - 1) ** 3 >= 2**53:
         raise FFError(f"inner dimension {s} is too long for an exact product over {f}")
@@ -689,22 +694,26 @@ def _matmul(f: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # codes of GF(2^m) add bitwise: XOR the products A[i, k] B[k, j] over k
         return np.bitwise_xor.reduce(f.mul_table[A[:, :, None], B[None, :, :]], axis=1)
     # Split the longer side of the output: a row of A (column of B) takes
-    # 8 m s bytes of planes, and each output entry 16 m^2 bytes for the
-    # plane product and its copy in fold order.
+    # 8 m t bytes of planes for t inner indices, and each output entry
+    # 16 m^2 bytes for the plane product and its copy in fold order.  The
+    # planes of the other side take 8 m t bytes per line of it: when they
+    # would pass the budget for t = s, the inner indices go in blocks of t.
     lines, other = (r, c) if r >= c else (c, r)
-    line_bytes = 8 * m * (s + 2 * m * other)
-    if lines * line_bytes <= _MATMUL_BLOCK_BYTES:
-        return _plane_product(f, _left_planes(f, A), _right_planes(f, B))
+    side_bytes = 8 * m * other  # the planes of one inner index of the other side
+    t = s if side_bytes * s <= _MATMUL_BLOCK_BYTES else max(1, _MATMUL_BLOCK_BYTES // side_bytes)
+    line_bytes = 8 * m * (t + 2 * m * other)
+    if t >= s and lines * line_bytes <= _MATMUL_BLOCK_BYTES:
+        return _plane_product(f, A, B, t)
     step = max(1, _MATMUL_BLOCK_BYTES // line_bytes)
     out = np.empty((r, c), dtype=_CODE_DTYPE)
     if r >= c:
-        right = _right_planes(f, B)
+        right = _right_planes(f, B) if t >= s else None
         for a in range(0, r, step):
-            out[a : a + step] = _plane_product(f, _left_planes(f, A[a : a + step]), right)
+            out[a : a + step] = _plane_product(f, A[a : a + step], B, t, right=right)
     else:
-        left = _left_planes(f, A)
+        left = _left_planes(f, A) if t >= s else None
         for a in range(0, c, step):
-            out[:, a : a + step] = _plane_product(f, left, _right_planes(f, B[:, a : a + step]))
+            out[:, a : a + step] = _plane_product(f, A, B[:, a : a + step], t, left=left)
     return out
 
 
@@ -722,16 +731,27 @@ def _right_planes(f: FieldSpec, B: np.ndarray) -> np.ndarray:
     return f.digit_planes.T[B].reshape(B.shape[0], B.shape[1] * f.m)
 
 
-def _plane_product(f: FieldSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The codes of A @ B from the planes of A and B."""
+def _plane_product(
+    f: FieldSpec, A: np.ndarray, B: np.ndarray, t: int, left=None, right=None
+) -> np.ndarray:
+    """The codes of A @ B from the planes of A and B: the float64 products of
+    the planes of blocks of t inner indices, summed, then folded.  ``left``
+    and ``right`` are the planes of A and B when they are already made."""
     p, m = f.p, f.m
-    r, c = left.shape[0] // m, right.shape[1] // m
+    (r, s), c = A.shape, B.shape[1]
+    if t >= s:
+        left = _left_planes(f, A) if left is None else left
+        prod = left @ (_right_planes(f, B) if right is None else right)
+    else:
+        prod = _left_planes(f, A[:, :t]) @ _right_planes(f, B[:t])
+        for k in range(t, s, t):
+            prod += _left_planes(f, A[:, k : k + t]) @ _right_planes(f, B[k : k + t])
     if m == 1:
-        coords = (left @ right).astype(np.int64)
+        coords = prod.astype(np.int64)
         coords %= p
         return coords.astype(_CODE_DTYPE)
     # (i, row, col, j) -> (row, col, i m + j), the rows the fold reads
-    prod = (left @ right).reshape(m, r, c, m).transpose(1, 2, 0, 3).reshape(r * c, m * m)
+    prod = prod.reshape(m, r, c, m).transpose(1, 2, 0, 3).reshape(r * c, m * m)
     coords = (prod @ f.fold).astype(np.int64)
     coords %= p
     return (coords @ f.places).astype(_CODE_DTYPE).reshape(r, c)
@@ -841,8 +861,19 @@ def solve_intertwiner_system(
     if not Y.shape[1]:
         return []
     vec_X = G[N:].transpose(1, 0, 2, 3).reshape(r * c, s * r)
-    R, _ = FFMatrix._trusted(f, _matmul(f, vec_X, Y).T[:, ::-1]).rref()
-    return [FFMatrix._trusted(f, row[::-1].reshape(r, c)) for row in R.data[::-1]]
+    return reversed_echelon_basis(f, _matmul(f, vec_X, Y).T, (r, c))
+
+
+def reversed_echelon_basis(
+    field: FieldSpec, vecs: np.ndarray, shape: tuple[int, int]
+) -> list[FFMatrix]:
+    """The basis of the span of the rows of ``vecs``, each the row-major
+    vec(X) of an X of the given shape, that ``solve_intertwiner_system``
+    returns: the reduced echelon form with the coordinates read from the
+    last one backwards, in ascending order of each X's free coordinate."""
+    R, pivots = FFMatrix._trusted(field, vecs[:, ::-1]).rref()
+    rows = R.data[: len(pivots)][::-1]
+    return [FFMatrix._trusted(field, row[::-1].reshape(shape)) for row in rows]
 
 
 def stack_columns(field: FieldSpec, mats: Sequence[FFMatrix]) -> FFMatrix:

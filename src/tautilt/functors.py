@@ -24,16 +24,17 @@ from .engine import (
     TiltingContext,
     certify_support_tau_tilting,
     geq,
-    pair_from_modules,
 )
 from .ff import _CODE_DTYPE, FFMatrix
 from .groups import SubgroupEmbedding
 from .modules import (
     RepModule,
+    _content_key,
     block_component,
     direct_sum,
     hom_basis,
     is_isomorphic,
+    lies_in_block,
     zero_module,
 )
 
@@ -61,19 +62,13 @@ class InductionContext:
         self.emb = emb
         self.source = source_algebra
         self.target = target_algebra
-        self._coset_actions: dict[int, list[tuple[int, int]]] = {}
-
-    def _coset_action(self, amb_idx: int) -> list[tuple[int, int]]:
-        """For each coset position i: (sigma(i), h) with g * rep_i = rep_sigma(i) * h."""
-        if amb_idx not in self._coset_actions:
-            emb = self.emb
-            amb = emb.amb
-            out = []
-            for rep in emb.coset_reps:
-                pos, h = emb.coset_decompose(amb.mul(amb_idx, rep))
-                out.append((pos, h))
-            self._coset_actions[amb_idx] = out
-        return self._coset_actions[amb_idx]
+        amb = emb.amb
+        # per overgroup generator g, per coset position i: (sigma(i), h)
+        # with g * rep_i = rep_sigma(i) * h
+        self.coset_actions = tuple(
+            tuple(emb.coset_decompose(amb.mul(g, rep)) for rep in emb.coset_reps)
+            for g in amb.gen_indices
+        )
 
 
 def induce(ctx: InductionContext, M: RepModule) -> RepModule:
@@ -85,8 +80,7 @@ def induce(ctx: InductionContext, M: RepModule) -> RepModule:
     d = M.dim
     field = ctx.target.field
     mats = []
-    for gi in ctx.target.group.gen_indices:
-        action = ctx._coset_action(gi)
+    for action in ctx.coset_actions:
         big = np.zeros((n * d, n * d), dtype=_CODE_DTYPE)
         for i, (sigma_i, h) in enumerate(action):
             big[sigma_i * d : (sigma_i + 1) * d, i * d : (i + 1) * d] = M.actions[h]
@@ -113,13 +107,33 @@ def twist(ctx: InductionContext, amb_idx: int, M: RepModule) -> RepModule:
     emb = ctx.emb
     amb = emb.amb
     x_inv = amb.inv(amb_idx)
-    mats = []
+    indices = []
     for gi in emb.sub.gen_indices:
         conj = amb.mul(amb.mul(x_inv, emb.element_map[gi]), amb_idx)
         if not emb.contains(conj):
             raise FunctorError("conjugation left the subgroup (non-normal embedding)")
-        mats.append(M.action_of(emb.to_sub(conj)))
-    return RepModule(ctx.source, mats, label=f"tw({M.label})" if M.label else "")
+        indices.append(emb.to_sub(conj))
+    return _twisted(M, tuple(indices))
+
+
+def _twisted(M: RepModule, indices: tuple[int, ...]) -> RepModule:
+    """M with the generators acting as the elements ``indices`` of the
+    group.  The twist of a registered class is registered, once per
+    content; the twist of a direct sum of registered parts is the direct
+    sum of their twists, the same matrices, and keeps its parts."""
+    label = f"tw({M.label})" if M.label else ""
+    if M._registry_id is not None:
+        reg = M.algebra.registry
+
+        def compute():
+            tw = RepModule(M.algebra, [M.action_of(h) for h in indices], label=label)
+            reg.find_or_register(tw)
+            return tw
+
+        return reg.memo("twist", (indices, _content_key(M)), compute)
+    if M.sum_parts is not None and all(p._registry_id is not None for p, _ in M.sum_parts):
+        return direct_sum(*[_twisted(p, indices) for p, _ in M.sum_parts]).relabel(label)
+    return RepModule(M.algebra, [M.action_of(h) for h in indices], label=label)
 
 
 @dataclass
@@ -269,10 +283,33 @@ class InvariantNodeImage:
     certified: bool
 
 
-def _certified_pair(ctx: TiltingContext, M: RepModule) -> STauTiltPair:
-    """The pair of M over ctx, with the support its certificate finds."""
-    pair = pair_from_modules(ctx, M)
+def _certified_ids_pair(ctx: TiltingContext, ids) -> STauTiltPair:
+    """The pair of the classes ``ids`` over ctx, with the support its
+    certificate finds."""
+    pair = STauTiltPair(ctx, tuple(ids))
     return STauTiltPair(ctx, pair.m_ids, certify_support_tau_tilting(pair).support_pims)
+
+
+def _image_ids(ctx: InductionContext, m_ids, block: Block | None = None) -> list[int]:
+    """Sorted target ids of the classes of the induction of the sum of the
+    source classes m_ids, or of its component in ``block``: the union of
+    the classes' induced ids, or those of them that lie in the block."""
+    ids = sorted(set().union(*(_induced_ids(ctx, i) for i in m_ids)))
+    if block is None:
+        return ids
+    return [i for i in ids if lies_in_block(ctx.target.registry.module(i), block)]
+
+
+def _induced_ids(ctx: InductionContext, idx: int) -> tuple[int, ...]:
+    """Target registry ids of the summands of the induction of the source
+    class idx, once per content of the class and coset action."""
+    M = ctx.source.registry.module(idx)
+    reg = ctx.target.registry
+    return reg.memo(
+        "induced",
+        (_content_key(M), ctx.coset_actions),
+        lambda: tuple(reg.ids_of(induce(ctx, M))),
+    )
 
 
 def verify_main_theorems(
@@ -293,7 +330,12 @@ def verify_main_theorems(
     surjectivity onto ``target_poset``, the poset of ``target_ctx``.
 
     The report also carries the block's ``inertial`` group and its
-    ``invariant_nodes``."""
+    ``invariant_nodes``.
+
+    Induction commutes with direct sums, so the classes of the induction of
+    a node are the union of those of its summands' inductions (T3.2), and
+    those of a block component the ones among them that lie in the block
+    (T3.3): no induced module or block component is decomposed whole."""
     source_ctx = poset.ctx
     inert = inertial_group(B, ctx.emb)
     clauses = []
@@ -317,13 +359,12 @@ def verify_main_theorems(
     all_certified = True
     block_certified_all = True
     for node in invariant_nodes:
-        ind = induce(ctx, node.module())
-        img_pair = _certified_pair(target_ctx, ind)
+        img_pair = _certified_ids_pair(target_ctx, _image_ids(ctx, node.m_ids))
         cert = certify_support_tau_tilting(img_pair)
         all_certified = all_certified and cert.valid
         for bt in covering:
-            comp, _ = block_component(ind, bt)
-            bpair = _certified_pair(TiltingContext(target_ctx.algebra, bt), comp)
+            bids = _image_ids(ctx, node.m_ids, bt)
+            bpair = _certified_ids_pair(TiltingContext(target_ctx.algebra, bt), bids)
             bcert = certify_support_tau_tilting(bpair)
             block_certified_all = block_certified_all and bcert.valid
         images.append(InvariantNodeImage(node, img_pair, cert.valid))

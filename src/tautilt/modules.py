@@ -18,7 +18,15 @@ import numpy as np
 
 from . import rings
 from .algebra import Block, GroupAlgebra
-from .ff import _CODE_DTYPE, FFMatrix, FieldSpec, _matmul, block_diag, solve_intertwiner_system
+from .ff import (
+    _CODE_DTYPE,
+    FFMatrix,
+    FieldSpec,
+    _matmul,
+    block_diag,
+    reversed_echelon_basis,
+    solve_intertwiner_system,
+)
 from .groups import group_from_json, group_to_json
 
 
@@ -393,7 +401,7 @@ class ModuleRegistry:
                 "semisimple",  # None -> (simple ids, PIM id of each simple)
                 "label",  # id -> label
                 "hom_basis",  # (id, id) -> basis of Hom
-                "rad_end",  # id -> basis of rad End
+                "rad_end",  # content key -> basis of rad End
                 "tau",  # id -> translate module
                 "tau_ids",  # id -> ids of the translate's summands
                 "hom_tau",  # (a, b) -> dim Hom(M_a, tau M_b)
@@ -403,6 +411,8 @@ class ModuleRegistry:
                 "block_lambda",  # block index -> the block as a module
                 "certificate",  # (block index, pair key) -> Certificate
                 "mutation",  # (block index, pair key, id) -> pair key or None
+                "twist",  # (group indices, content key) -> registered twist
+                "induced",  # (source content key, coset actions) -> ids of the induction
             )
         }
         algebra._registry = self
@@ -480,30 +490,36 @@ class ModuleRegistry:
 
     def _split(self, M: RepModule) -> Decomposition:
         """Split by idempotents of endomorphism rings until every piece is
-        local, then register the pieces."""
+        local, then register the pieces.  End(M) is solved; each piece
+        inherits its End from the module it was cut from."""
         parts = []
         stack = [(M, FFMatrix.identity(M.field, M.dim))]
         while stack:
             X, inc = stack.pop()
             if X.dim == 0:
                 continue
-            key = _content_key(X)
             e = self.memo(
                 "idempotent",
-                key,
-                lambda: rings.find_splitting_idempotent(X.field, self._end(X)),
+                _content_key(X),
+                lambda: rings.find_splitting_idempotent(
+                    X.field, self._end(X), lambda: self._rad_end(X)
+                ),
             )
             if e is None:
                 parts.append((X, inc))
                 continue
             img = e.column_space_basis()
             ker = e.nullspace()
-            sub1, inc1 = submodule(X, img)
-            sub2, inc2 = submodule(X, ker)
-            if sub1.dim == 0 or sub2.dim == 0:
-                raise AssertionError("idempotent splitting produced a trivial piece")
-            stack.append((sub1, inc @ inc1))
-            stack.append((sub2, inc @ inc2))
+            # the rows of the inverse of [img | ker] project onto each piece
+            proj = img.hstack(ker).inverse()
+            pieces = []
+            for basis, rows in ((img, range(img.cols)), (ker, range(img.cols, X.dim))):
+                piece, piece_inc = submodule(X, basis)
+                if piece.dim == 0:
+                    raise AssertionError("idempotent splitting produced a trivial piece")
+                self._inherit_end(X, piece, basis, proj.take_rows(rows))
+                pieces.append((piece, inc @ piece_inc))
+            stack.extend(pieces)
         keyed = []
         for part, inc in parts:
             pid = self.find_or_register(part)
@@ -532,12 +548,34 @@ class ModuleRegistry:
         key = _content_key(M)
         return self.memo("hom", (key, key), lambda: end_basis(M))
 
-    def rad_end_basis(self, idx: int) -> list[FFMatrix]:
+    def _inherit_end(self, X: RepModule, piece: RepModule, inc: FFMatrix, proj: FFMatrix):
+        """Store End(piece) for a direct summand of X with inclusion inc and
+        projection proj (proj inc = 1): the span of the maps proj phi inc
+        for phi in End(X), put by one elimination into the form that
+        end_basis(piece) has."""
+        key = _content_key(piece)
+
+        def compute():
+            ends = self._end(X)
+            k, n, d = len(ends), X.dim, piece.dim
+            # phi inc for every phi, side by side, then proj times all of them
+            right = _matmul(X.field, np.vstack([phi.data for phi in ends]), inc.data)
+            right = right.reshape(k, n, d).transpose(1, 0, 2).reshape(n, k * d)
+            maps = _matmul(X.field, proj.data, right).reshape(d, k, d).transpose(1, 0, 2)
+            return reversed_echelon_basis(X.field, maps.reshape(k, d * d), (d, d))
+
+        self.memo("hom", (key, key), compute)
+
+    def _rad_end(self, M: RepModule) -> list[FFMatrix]:
+        """Basis of rad End(M), once per content."""
         return self.memo(
             "rad_end",
-            idx,
-            lambda: rings.algebra_radical(self.algebra.field, self._end(self.entries[idx])),
+            _content_key(M),
+            lambda: rings.algebra_radical(self.algebra.field, self._end(M)),
         )
+
+    def rad_end_basis(self, idx: int) -> list[FFMatrix]:
+        return self._rad_end(self.entries[idx])
 
     # ---- semisimple bookkeeping
 

@@ -12,7 +12,12 @@ The two workhorses:
 * ``find_splitting_idempotent``: either certifies that an endomorphism
   algebra is local or produces a proper idempotent, by coprime splits of
   minimal polynomials, passing to the semisimple quotient when needed, and
-  lifting idempotents along the radical by p-th powering.
+  lifting idempotents along the radical by p-th powering.  Its stages, in
+  order: (1) coprime splits of the basis elements; (2) the radical, from
+  the caller, and None when the quotient by it is one-dimensional, as no
+  element of a local ring has a coprime split; (3) coprime splits of the
+  products of the first 8 basis elements, pairwise; (4) the semisimple
+  quotient, its unit vectors first, then seeded random elements.
 
 Every subspace question over the field goes through the span helpers,
 each one elimination or one pass over the terms:
@@ -255,7 +260,7 @@ class QuotientAlgebra:
         return combine(self.field, coords, self.lifts)
 
 
-# The random elements that stage 2 of ``find_splitting_idempotent`` tries
+# The random elements that stage 4 of ``find_splitting_idempotent`` tries
 # after the unit vectors of the quotient: their generator's seed, and how
 # many.  They are reached only on quotients that no unit vector splits
 # (some 4-dimensional quotients over GF(2)); there the seed picks the
@@ -264,11 +269,16 @@ SPLITTING_SEED = 20240801
 SPLITTING_TRIES = 400
 
 
-def find_splitting_idempotent(field: FieldSpec, end_basis: list[FFMatrix]):
+def find_splitting_idempotent(field: FieldSpec, end_basis: list[FFMatrix], radical):
     """Either a proper idempotent of the algebra spanned by ``end_basis``
     (an endomorphism algebra, acting faithfully), or None if the algebra is
-    local.  Raises FieldNotSplittingError when the residue division ring is
-    a proper field extension of the ground field."""
+    local.  ``radical()`` returns a basis of its radical; it is called only
+    when no basis element splits.  Raises FieldNotSplittingError when the
+    residue division ring is a proper field extension of the ground field.
+
+    The stages run in the order of the module docstring.  Stopping at a
+    local ring before the products changes no result: no element of a
+    local ring has a coprime split, so no product would give one."""
     basis = reduce_span(field, end_basis)
     if len(basis) <= 1:
         return None
@@ -279,25 +289,23 @@ def find_splitting_idempotent(field: FieldSpec, end_basis: list[FFMatrix]):
         d = m.data
         return bool((d == d[0, 0] * np.eye(n, dtype=_CODE_DTYPE)).all())
 
-    # stage 1: direct coprime splits on cheap candidates, made one at a time:
-    # the first one usually splits, and then no product is needed
-    def candidates():
-        yield from (b for b in basis if not scalar(b))
-        for i in range(min(len(basis), 8)):
-            for j in range(min(len(basis), 8)):
-                prod = basis[i] @ basis[j]
-                if not scalar(prod) and not prod.is_zero():
-                    yield prod
-
-    for x in candidates():
-        e = _coprime_split_idempotent(x)
+    # stage 1: the basis elements, which usually split
+    for x in basis:
+        e = None if scalar(x) else _coprime_split_idempotent(x)
         if e is not None:
             return e
-
-    # stage 2: decide via the semisimple quotient
-    rad = algebra_radical(field, basis)
+    # stage 2: a local ring stops here
+    rad = radical()
     if len(basis) - len(rad) == 1:
         return None
+    # stage 3: products, made one at a time
+    for i in range(min(len(basis), 8)):
+        for j in range(min(len(basis), 8)):
+            x = basis[i] @ basis[j]
+            e = None if scalar(x) or x.is_zero() else _coprime_split_idempotent(x)
+            if e is not None:
+                return e
+    # stage 4: decide via the semisimple quotient
     Q = QuotientAlgebra(field, basis, rad)
     rng = np.random.default_rng(SPLITTING_SEED)
 

@@ -16,6 +16,8 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
 * the radical that took one charpoly per entry of every stage matrix
   (``test_rings.py``), and the group algebra product that composed the
   permutations of every pair of group elements (``test_algebra.py``);
+* the splitting search that tried the products of basis elements before
+  it took the radical (``test_inherited.py``);
 * the per-element word products, the support-and-scale-add loop and the
   column-at-a-time regular hom that the action stack of a module replaced
   (``test_actions.py``).
@@ -30,12 +32,17 @@ program against, and that the program itself does not run:
   Nakayama functor on a minimal presentation (``test_modules.py``,
   ``test_acceptance.py``);
 * the check that induction up to the inertial group lands in covering
-  blocks (P2.11.1, ``test_functors.py``)."""
+  blocks (P2.11.1, ``test_functors.py``);
+* the pair of a module, and the pair with its certified support, their
+  classes read off the decomposition of the whole module, against which
+  the class-level ids of ``verify_main_theorems`` are checked
+  (``test_engine.py``, ``test_acceptance.py``, ``test_inherited.py``)."""
 
 import numpy as np
 
 from tautilt import homalg, polys, rings
 from tautilt.algebra import Block, covers
+from tautilt.engine import STauTiltPair, TiltingContext, certify_support_tau_tilting
 from tautilt.ff import _CODE_DTYPE, FFMatrix, FieldSpec
 from tautilt.functors import (
     ClauseResult,
@@ -585,10 +592,10 @@ def tensor_with_regular(
     n = emb.n_cosets
     mats = []
     first_pos = 0
-    for pos, gi in enumerate(target.group.gen_indices):
+    for pos in range(len(target.group.gen_indices)):
         if pos in second_factor_gens:
             # permutation of cosets tensor identity on M
-            action = ctx._coset_action(gi)
+            action = ctx.coset_actions[pos]
             perm = np.zeros((n, n), dtype=_CODE_DTYPE)
             for i, (sigma_i, h) in enumerate(action):
                 perm[sigma_i, i] = 1
@@ -599,3 +606,61 @@ def tensor_with_regular(
             )
             first_pos += 1
     return RepModule(target, mats)
+
+
+def pair_from_modules(ctx: TiltingContext, M: RepModule) -> STauTiltPair:
+    """The pair of M over ctx, basic and with no projective part."""
+    return STauTiltPair(ctx, tuple(ctx.registry.ids_of(M)) if M.dim else ())
+
+
+def certified_pair(ctx: TiltingContext, M: RepModule) -> STauTiltPair:
+    """The pair of M over ctx, with the support its certificate finds: the
+    classes of M from the decomposition of the whole module."""
+    pair = pair_from_modules(ctx, M)
+    return STauTiltPair(ctx, pair.m_ids, certify_support_tau_tilting(pair).support_pims)
+
+
+# -- splitting search ------------------------------------------------------------
+
+
+def find_splitting_idempotent_products_first(field: FieldSpec, end_basis: list[FFMatrix]):
+    """``rings.find_splitting_idempotent`` in its earlier stage order: the
+    basis elements, then the products of the first 8 of them, and only then
+    the radical, taken here from the algebra itself."""
+    basis = rings.reduce_span(field, end_basis)
+    if len(basis) <= 1:
+        return None
+    n = basis[0].rows
+
+    def scalar(m):
+        d = m.data
+        return bool((d == d[0, 0] * np.eye(n, dtype=_CODE_DTYPE)).all())
+
+    candidates = [b for b in basis if not scalar(b)]
+    for i in range(min(len(basis), 8)):
+        for j in range(min(len(basis), 8)):
+            prod = basis[i] @ basis[j]
+            if not scalar(prod) and not prod.is_zero():
+                candidates.append(prod)
+    for x in candidates:
+        e = rings._coprime_split_idempotent(x)
+        if e is not None:
+            return e
+    rad = rings.algebra_radical(field, basis)
+    if len(basis) - len(rad) == 1:
+        return None
+    Q = rings.QuotientAlgebra(field, basis, rad)
+    rng = np.random.default_rng(rings.SPLITTING_SEED)
+    pool = [list(c) for c in np.eye(Q.dim, dtype=int).tolist()] + [
+        [int(a) for a in rng.integers(0, field.q, size=Q.dim)]
+        for _ in range(rings.SPLITTING_TRIES)
+    ]
+    for coords in pool:
+        R = Q.regular_matrix(coords)
+        mu = R.minimal_polynomial()
+        ecoeffs = rings._idempotent_coeffs(field, mu)
+        if ecoeffs is not None:
+            return rings.lift_idempotent(field, Q.lift((R.apply_poly(ecoeffs) @ Q.unit).entries()))
+        if polys.degree(mu) == Q.dim:
+            raise rings.FieldNotSplittingError("the residue ring is a proper field extension")
+    raise rings.DecompositionError("no splitting idempotent found")

@@ -17,7 +17,7 @@ from corpus import (
     spanned_submodule,
     symmetric_group,
 )
-from ff_oracles import nakayama_tau
+from ff_oracles import certified_pair, nakayama_tau, pair_from_modules
 from tautilt import homalg
 from tautilt.algebra import GroupAlgebra, principal_block
 from tautilt.engine import (
@@ -25,11 +25,9 @@ from tautilt.engine import (
     certify_support_tau_tilting,
     enumerate_poset,
     geq,
-    pair_from_modules,
 )
 from tautilt.functors import (
     InductionContext,
-    _certified_pair,
     induce,
     is_invariant,
     mackey_decomposition,
@@ -152,7 +150,7 @@ def test_acceptance_3_invariant_bijection(a4_in_s4, a4_poset, s4_poset):
     # recount the two-directional order checks pairwise, on each invariant
     # node and the pair of its induction
     nodes = rep.invariant_nodes
-    imgs = [_certified_pair(pc.amb_tctx, induce(pc.ictx, n.module())) for n in nodes]
+    imgs = [certified_pair(pc.amb_tctx, induce(pc.ictx, n.module())) for n in nodes]
     pairs = 0
     order_ok = True
     for i in range(len(imgs)):

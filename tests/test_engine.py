@@ -1,5 +1,6 @@
 import pytest
 
+from ff_oracles import pair_from_modules
 from tautilt import homalg
 from tautilt.engine import (
     CriteriaDisagree,
@@ -13,7 +14,6 @@ from tautilt.engine import (
     geq,
     is_tau_rigid,
     mutate,
-    pair_from_modules,
 )
 from tautilt.modules import direct_sum, regular_module, trivial_module
 

@@ -2,12 +2,14 @@
 
 ``ff._matmul`` splits the longer side of the output into blocks of rows of
 A or columns of B when the temporaries of one product would pass the
-budget.  Forced by patching the budget, blocked products match the table
-product of ``ff_oracles`` and the unblocked product on every field and
-shape, and the blocks tile the split side: equal blocks, the last one
-ragged.  ``tracemalloc`` bounds the memory of single products shaped like
-those of ``mackey``, of a wide plane product and of the algebra vectors
-of kS5.  A Linux child runs ``stt A5 --p 3`` within 80 MB."""
+budget, and the inner dimension into blocks when the planes of the other
+side would pass it alone.  Forced by patching the budget, blocked products
+match the table product of ``ff_oracles`` and the unblocked product on
+every field and shape, and the blocks tile the split side: equal blocks,
+the last one ragged.  ``tracemalloc`` bounds the memory of single products
+shaped like those of ``mackey``, of a wide plane product, of the algebra
+vectors of kS5 and of the trace form of kS5 over GF(25).  A Linux child
+runs ``stt A5 --p 3`` within 80 MB."""
 
 import json
 import os
@@ -38,14 +40,14 @@ def codes(field, shape, seed):
 
 
 def blocked(field, A, B, budget):
-    """A @ B with the budget patched, and the (rows, columns) of the output
-    block of each plane product it made."""
+    """A @ B with the budget patched, and the (rows, columns, inner block
+    length) of the output block of each plane product it made."""
     blocks = []
     plane_product = ff._plane_product
 
-    def record(f, left, right):
-        blocks.append((left.shape[0] // f.m, right.shape[1] // f.m))
-        return plane_product(f, left, right)
+    def record(f, A, B, t, left=None, right=None):
+        blocks.append((A.shape[0], B.shape[1], t))
+        return plane_product(f, A, B, t, left=left, right=right)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ff, "_MATMUL_BLOCK_BYTES", budget)
@@ -69,6 +71,9 @@ def blocked(field, A, B, budget):
 @example(field=GF4, r=0, s=6, c=9, budget=1, seed=4)  # 0 rows
 @example(field=GF5, r=9, s=6, c=0, budget=1, seed=5)  # 0 columns
 @example(field=GF16, r=16, s=16, c=16, budget=1, seed=6)  # gather path, 4096 multiply-adds
+@example(field=GF25, r=3, s=24, c=5, budget=200, seed=7)  # inner blocks of 4, 4 + ... + 4
+@example(field=GF5, r=9, s=23, c=4, budget=100, seed=8)  # inner blocks of 3, the last of 2
+@example(field=GF9, r=2, s=0, c=2, budget=1, seed=9)  # no inner index
 def test_blocked_products_match_the_table_product(field, r, s, c, budget, seed):
     A, B = codes(field, (r, s), seed), codes(field, (s, c), seed + 1)
     got, blocks = blocked(field, A, B, budget)
@@ -80,11 +85,21 @@ def test_blocked_products_match_the_table_product(field, r, s, c, budget, seed):
         assert blocks == []  # the gather path is never split
         return
     # the longer side of the output is split into equal blocks and a ragged last one
-    sizes, whole = zip(*blocks) if r >= c else zip(*((cols, rows) for rows, cols in blocks))
+    lines = [(rows, cols) if r >= c else (cols, rows) for rows, cols, _ in blocks]
+    sizes, whole = zip(*lines)
     assert set(whole) == {min(r, c)} and sum(sizes) == max(r, c)
     assert all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
     if budget == 1 and len(sizes) > 1:
         assert set(sizes) == {1}
+    # the inner dimension is split only when the planes of the side that is
+    # not split pass the budget, and then into blocks whose planes do not
+    (t,) = {t for _, _, t in blocks}
+    plane_bytes = 8 * field.m * min(r, c)
+    if plane_bytes * s <= budget:
+        assert t >= s
+    else:
+        # as many inner indices as the budget holds, at least one
+        assert t == max(1, budget // plane_bytes) and t <= max(1, s - 1)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +127,22 @@ def test_one_product_stays_within_twice_the_budget(field, a_shape, b_shape):
     copies = 8 * field.m * s * min(r, c)
     assert peak <= 2 * ff._MATMUL_BLOCK_BYTES + got.nbytes + copies
     assert np.array_equal(got, table_matmul(field, A, B))
+
+
+def test_long_inner_dimension_holds_inner_blocks_only():
+    """The (120 x 14400) @ (14400 x 120) trace form of kS5 over GF(25) held
+    the 27.7 MiB planes of its unsplit side at once; in inner blocks the
+    product holds at most twice the budget beyond its output."""
+    A, B = codes(GF25, (120, 14400), 9), codes(GF25, (14400, 120), 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = ff._matmul(GF25, A, B)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ff._MATMUL_BLOCK_BYTES + got.nbytes
+    assert np.array_equal(got, table_matmul(GF25, A, B))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux only")

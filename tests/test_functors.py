@@ -1,11 +1,11 @@
 import pytest
 
 from corpus import corpus_of
-from ff_oracles import hom_dim, verify_covering_block_sum
+from ff_oracles import hom_dim, pair_from_modules, verify_covering_block_sum
 
 from tautilt import homalg
 from tautilt.algebra import inertial_group, principal_block
-from tautilt.engine import certify_support_tau_tilting, pair_from_modules
+from tautilt.engine import certify_support_tau_tilting
 from tautilt.functors import (
     FunctorError,
     InductionContext,

@@ -1,0 +1,199 @@
+"""Decomposition that reuses what it knows, against the computations it
+skips, on modules in random bases.
+
+* Every piece that ``ModuleRegistry`` cuts off by an idempotent inherits
+  its End from the module it was cut from; the inherited basis equals
+  ``end_basis`` of the piece, element for element.
+* ``rings.find_splitting_idempotent`` takes the radical before it tries
+  the products of basis elements; the earlier stage order, kept in
+  ``ff_oracles``, returns the same idempotent or None on every End it is
+  given, or raises the same error.
+* ``verify_main_theorems`` decides invariance along the summands of a node
+  and reads the classes of its induction class by class; on every node of
+  A4 in S4 (p = 2 and 3) and C3 in S3, its invariant nodes and those
+  classes match ``is_invariant`` and the decomposition of the whole
+  induced module and of its block components, for the node module in a
+  random basis.
+
+The first two run on the regular modules of C3, S3, A4, S4, SL23 and S3xC3
+over GF(2), GF(3) and GF(4).  Over GF(2) some of these algebras do not
+split; the decomposition then stops with FieldNotSplittingError, and the
+pieces cut before it are checked all the same."""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import EmbeddedPair
+from corpus import alternating_group, fixture_groups, random_invertible, symmetric_group
+from ff_oracles import find_splitting_idempotent_products_first
+from tautilt import rings
+from tautilt.algebra import GroupAlgebra, covers, inertial_group
+from tautilt.engine import TiltingContext, enumerate_poset
+from tautilt.ff import field_create
+from tautilt.functors import _image_ids, induce, is_invariant, twist, verify_main_theorems
+from tautilt.modules import (
+    ModuleRegistry,
+    RepModule,
+    block_component,
+    end_basis,
+    regular_module,
+)
+from tautilt.rings import FieldNotSplittingError
+
+GROUPS = ["C3", "S3", "A4", "S4", "SL23", "S3xC3"]
+FIELDS = {"GF(2)": field_create(2, 1), "GF(3)": field_create(3, 1), "GF(4)": field_create(2, 2)}
+
+
+def in_random_basis(M: RepModule, seed: int) -> RepModule:
+    """M with every generator conjugated by one random invertible matrix:
+    the same module, neither registered nor a direct sum."""
+    if M.dim == 0:
+        return M
+    T = random_invertible(M.field, np.random.default_rng(seed), M.dim)
+    T_inv = T.inverse()
+    return RepModule(M.algebra, [T_inv @ g @ T for g in M.gen_mats])
+
+
+def decompose_regular(group_name, field_name, seed):
+    """Decompose the regular module in a random basis in a new registry;
+    return the registry, the (module, piece) pairs of every split and the
+    End bases the splitting search was given."""
+    alg = GroupAlgebra(fixture_groups()[group_name], FIELDS[field_name])
+    reg = ModuleRegistry(alg)
+    pieces, searched = [], []
+    inherit, search = ModuleRegistry._inherit_end, rings.find_splitting_idempotent
+
+    def record_piece(self, X, piece, inc, proj):
+        pieces.append((X, piece))
+        return inherit(self, X, piece, inc, proj)
+
+    def record_search(field, basis, radical):
+        searched.append(basis)
+        return search(field, basis, radical)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ModuleRegistry, "_inherit_end", record_piece)
+        patch.setattr(rings, "find_splitting_idempotent", record_search)
+        with contextlib.suppress(FieldNotSplittingError):
+            reg.decompose(in_random_basis(regular_module(alg), seed))
+    return reg, pieces, searched
+
+
+def _codes(mats):
+    return [(m.shape, m.data.tobytes()) for m in mats]
+
+
+cases = dict(
+    group_name=st.sampled_from(GROUPS),
+    field_name=st.sampled_from(sorted(FIELDS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(**cases)
+def test_every_piece_inherits_the_end_basis_it_would_solve(group_name, field_name, seed):
+    reg, pieces, _ = decompose_regular(group_name, field_name, seed)
+    assert pieces or (group_name, field_name) == ("C3", "GF(3)")  # a local algebra
+    for X, piece in pieces:
+        assert _codes(reg._end(piece)) == _codes(end_basis(piece))
+
+
+def _outcome(search):
+    try:
+        e = search()
+    except FieldNotSplittingError:
+        return "not split"
+    return None if e is None else (e.shape, e.data.tobytes())
+
+
+@settings(max_examples=12, deadline=None)
+@given(**cases)
+@example(group_name="S3", field_name="GF(4)", seed=1)  # an End that no basis element splits
+def test_radical_before_products_finds_the_same_idempotent(group_name, field_name, seed):
+    _, _, searched = decompose_regular(group_name, field_name, seed)
+    assert searched
+    field = FIELDS[field_name]
+    for basis in searched:
+        got = _outcome(
+            lambda: rings.find_splitting_idempotent(
+                field, basis, lambda: rings.algebra_radical(field, basis)
+            )
+        )
+        assert got == _outcome(lambda: find_splitting_idempotent_products_first(field, basis))
+
+
+@pytest.fixture(scope="module")
+def a4_in_s4_p3():
+    return EmbeddedPair(alternating_group(4), symmetric_group(4), 3)
+
+
+@pytest.fixture(scope="module")
+def block_reports(a4_in_s4, a4_in_s4_p3, c3_in_s3):
+    """Per embedding: the context and, per block of the subgroup, its
+    inertial group, its covering blocks, its poset and the set of keys of
+    the invariant nodes that ``verify_main_theorems`` found."""
+    out = []
+    for pc in (a4_in_s4, a4_in_s4_p3, c3_in_s3):
+        amb_poset = enumerate_poset(pc.amb_tctx)
+        blocks = []
+        for B in pc.sub_algebra.blocks():
+            covering = [bt for bt in pc.amb_algebra.blocks() if covers(bt, B, pc.emb)]
+            poset = enumerate_poset(TiltingContext(pc.sub_algebra, B))
+            report = verify_main_theorems(pc.ictx, B, poset, pc.amb_tctx, amb_poset)
+            found = {node.key for node in report.invariant_nodes}
+            blocks.append((inertial_group(B, pc.emb), covering, poset, found))
+        out.append((pc, blocks))
+    return out
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_class_level_invariance_and_induced_ids(block_reports, seed):
+    for pc, blocks in block_reports:
+        amb_reg = pc.amb_algebra.registry
+        for inert, covering, poset, found in blocks:
+            for node in poset.nodes:
+                M_random = in_random_basis(node.module(), seed)
+                assert (node.key in found) == is_invariant(pc.ictx, M_random, inert)[0]
+                ind = induce(pc.ictx, M_random)
+                want = sorted(set(amb_reg.ids_of(ind))) if ind.dim else []
+                assert _image_ids(pc.ictx, node.m_ids) == want
+                for bt in covering:
+                    comp, _ = block_component(ind, bt)
+                    want = sorted(set(amb_reg.ids_of(comp))) if comp.dim else []
+                    assert _image_ids(pc.ictx, node.m_ids, bt) == want
+
+
+def test_twist_of_a_sum_of_classes_has_the_matrices_of_the_plain_twist(a4_in_s4):
+    """The twist of a direct sum of registered classes is the direct sum of
+    their registered twists, with the matrices the twist of the sum as one
+    module has."""
+    pc = a4_in_s4
+    reg = pc.sub_algebra.registry
+    M = reg.direct_sum_of_ids(reg.simple_ids() + reg.pim_ids())
+    plain = RepModule(M.algebra, M.gen_mats)  # neither a sum nor registered
+    for rep in pc.emb.coset_reps:
+        tw, tw_plain = twist(pc.ictx, rep, M), twist(pc.ictx, rep, plain)
+        assert _codes(tw.gen_mats) == _codes(tw_plain.gen_mats)
+        assert all(part._registry_id is not None for part, _ in tw.sum_parts)
+        assert tw_plain.sum_parts is None and tw_plain._registry_id is None
+        assert sorted(reg.ids_of(tw)) == sorted(reg.ids_of(tw_plain))
+
+
+def test_inherited_end_of_a_known_split(s4_gf4):
+    """The three summands of the regular module of kS4 over GF(4), in a
+    random basis, get the End bases the solver gives them."""
+    reg = ModuleRegistry(GroupAlgebra(s4_gf4.group, s4_gf4.field))
+    dec = reg.decompose(in_random_basis(regular_module(reg.algebra), 5))
+    assert [part.dim for part, _ in dec.parts] == [8, 8, 8]
+    # dim End P = the Cartan diagonal of kS4 in characteristic 2: 4, 3, 3
+    assert sorted(len(reg._end(part)) for part, _ in dec.parts) == [3, 3, 4]
+    for part, _ in dec.parts:
+        inherited, solved = reg._end(part), end_basis(part)
+        assert len(inherited) == len(solved)
+        assert all(a == b for a, b in zip(inherited, solved))

@@ -20,6 +20,10 @@ GROUPS = {
     "C3": (3, [[2, 3, 1]]),
     "S3": (3, [[2, 3, 1], [2, 1, 3]]),
     "S5": (5, [[2, 3, 4, 5, 1], [2, 1, 3, 4, 5]]),
+    # SL(2,3) on the 8 non-zero vectors of GF(3)^2, generated by
+    # [[1,1],[0,1]] and [[0,-1],[1,0]]
+    "SL23": (8, [[4, 8, 3, 7, 2, 6, 1, 5], [6, 3, 1, 7, 4, 2, 8, 5]]),
+    "S3xC3": (6, [[2, 3, 1, 4, 5, 6], [2, 1, 3, 4, 5, 6], [1, 2, 3, 5, 6, 4]]),
 }
 
 EXPECTED = {
@@ -60,6 +64,24 @@ EXPECTED = {
     # digit sums, not by XOR as over GF(2^m).
     "verify A4 S4 --p 3": {
         "stdout": "5b8b89c63376bd1f4b02ee21d65e3c3b926aa627d37a6401018d3aa0bbc2af4b",
+    },
+    # The rest of the benchmark's structure and poset operations, pinned
+    # before the decomposition of a piece inherited its endomorphism ring.
+    "stt S3xC3 --p 2": {
+        "stdout": "1ca120a46f3c80af7bc2a2e726505c8e22378813e08d1c61113a1e3c9b0875ae",
+        "json": "0e7e6bcb63a1cd28e8ca27f9e197bfdcb2d1cde7a061871dc85ee2c71b3665ee",
+        "dot": "074f7427a9cb6e6e43d68dd42362df03bab254f31a8e6b171181de250e6921a7",
+    },
+    "stt SL23 --p 3 --m 1": {
+        "stdout": "8e3428ad04054650efb5f828f0bf5765241776c8d964f2712a691574f460ece7",
+        "json": "cf6018d15b5ce4bbf9aa131622d38c8d65e298f8482d3773ee8a8989eeae30ea",
+        "dot": "36534d0f1be2a2fbb87af63b39f65ca5be34b0f4f86bf81370496e6ba748a704",
+    },
+    "blocks S5 --p 2 --m 1": {
+        "stdout": "c5ac86a1939483e3b19fc649d44cc06a4ced77a66466d6c5dfb08cf860edf527",
+    },
+    "blocks S5 --p 3 --m 1": {
+        "stdout": "5d894d9e469b3c99cdc19e58bf0b54ab9c5c0bc133f6f0d460689989042b9fd4",
     },
 }
 
