@@ -91,19 +91,12 @@ class TiltingContext:
 
         return self.registry.memo("block_lambda", self.key, compute)
 
-    def tau_ids(self, idx: int) -> list[int]:
-        def compute():
-            t = homalg.tau_indec_cached(self.registry, idx)
-            return self.registry.ids_of(t) if t.dim else []
-
-        return self.registry.memo("tau_ids", idx, compute)
-
     def hom_to_tau_dim(self, a: int, b: int) -> int:
         """dim Hom(M_a, tau M_b)."""
         return self.registry.memo(
             "hom_tau",
             (a, b),
-            lambda: sum(self.registry.hom_dim_ids(a, t) for t in self.tau_ids(b)),
+            lambda: sum(self.registry.hom_dim_ids(a, t) for t in homalg.tau_ids(self.registry, b)),
         )
 
     def module_of_ids(self, ids) -> RepModule:

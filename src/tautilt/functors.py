@@ -9,6 +9,15 @@ Check identifiers: L3.1 (syzygy/translate commutation with induction),
 T3.2/T3.3 (induced pairs certify, globally and per covering block), C3.4
 (order preservation), P3.5 (descent back to the subgroup), T3.6 (the full
 two-way equivalence).
+
+Induction, the syzygy and the translate are additive, so the checks are
+decided class by class from facts the registries hold per class: the
+twists of a class, the classes of its induction (the ``induced`` table),
+its syzygy with the PIMs of its cover (the ``syzygy`` table) and its
+translate.  T3.2 and T3.3 read the classes of an induced node as the union
+of those of its summands; every side of L3.1 is the direct sum, with
+multiplicity, of such classes.  No induced module, syzygy or translate of
+a whole node is decomposed.
 """
 
 from __future__ import annotations
@@ -252,27 +261,57 @@ def verify_syzygy_commutation(
 ) -> TheoremReport:
     """Check L3.1 for an invariant module: twists fix the projective cover
     and the syzygy, and induction commutes with the syzygy and the
-    translate.  Every clause stores its isomorphism witnesses.
+    translate.  Every clause stores its isomorphism witnesses, between the
+    sums of registered classes that ``_l31_sides`` builds.
 
     With ``inertial``, the module is taken to be invariant under the
     inertial group of its block, and the twists range over that group's
     coset representatives, as in ``is_invariant``; otherwise over all of
     the overgroup's."""
-    clauses = []
-    om, _, P, _ = homalg.syzygy(M)
-    clauses.append(_twist_clause(ctx, "cover_twist_invariant", P, inertial))
-    clauses.append(_twist_clause(ctx, "syzygy_twist_invariant", om, inertial))
-    ind_M = induce(ctx, M)
-    ind_om = induce(ctx, om)
-    om_ind = homalg.syzygy_module(ind_M)
-    clauses.append(_iso_clause("induction_commutes_with_syzygy", ind_om, om_ind))
-    tau_ind = homalg.tau(ind_M)
-    ind_tau = induce(ctx, homalg.tau(M))
-    clauses.append(_iso_clause("induction_commutes_with_translate", tau_ind, ind_tau))
+    if M.algebra is not ctx.source:
+        raise FunctorError("module is not over the context's source algebra")
+    P, om, (ind_om, om_ind), (tau_ind, ind_tau) = _l31_sides(ctx, M)
+    clauses = [
+        _twist_clause(ctx, "cover_twist_invariant", P, inertial),
+        _twist_clause(ctx, "syzygy_twist_invariant", om, inertial),
+        _iso_clause("induction_commutes_with_syzygy", ind_om, om_ind),
+        _iso_clause("induction_commutes_with_translate", tau_ind, ind_tau),
+    ]
     return TheoremReport(
         "L3.1",
         {"module_dim": M.dim, "module": M.label or None},
         clauses,
+    )
+
+
+def _l31_sides(ctx: InductionContext, M: RepModule):
+    """(P M, Omega M, (Ind Omega M, Omega Ind M), (tau Ind M, Ind tau M)).
+
+    Induction, Omega and tau are additive, so for M the sum of the classes
+    X_i each side is the sum of the classes that the registries hold for
+    the X_i: their cover and syzygy ids, their induced ids, the syzygy and
+    translate ids of those, and the induced ids of their syzygy and
+    translate ids.  Each side is the direct sum of its ids in sorted order,
+    with multiplicity, so no side is split whole."""
+    src, tgt = ctx.source.registry, ctx.target.registry
+    ids = src.ids_of(M)
+    om_ids = [j for i in ids for j in homalg.syzygy_ids(src, i)]
+    ind_ids = [j for i in ids for j in _induced_ids(ctx, i)]
+
+    def total(reg, id_lists):
+        return reg.direct_sum_of_ids(sorted(j for part in id_lists for j in part))
+
+    return (
+        total(src, (homalg.syzygy_cached(src, src.module(i))[1] for i in ids)),
+        total(src, [om_ids]),
+        (
+            total(tgt, (_induced_ids(ctx, j) for j in om_ids)),
+            total(tgt, (homalg.syzygy_ids(tgt, j) for j in ind_ids)),
+        ),
+        (
+            total(tgt, (homalg.tau_ids(tgt, j) for j in ind_ids)),
+            total(tgt, (_induced_ids(ctx, t) for i in ids for t in homalg.tau_ids(src, i))),
+        ),
     )
 
 

@@ -1,10 +1,12 @@
 """Homological operations: radicals, projective covers, syzygies, the AR
 translate, duals and minimal approximations.
 
-Group algebras are symmetric, so the translate is the double syzygy on
-projective-free parts; the tests compare it, up to isomorphism, with the
-Nakayama functor (dual of the hom-into-the-algebra functor) run on a
-minimal presentation.
+Group algebras are symmetric, so the translate of a non-projective
+indecomposable is its double syzygy; the tests compare it, up to
+isomorphism, with the Nakayama functor (dual of the hom-into-the-algebra
+functor) run on a minimal presentation.  The syzygy of a module is
+computed once per content, in the registry's ``syzygy`` table, where the
+translate and the L3.1 check of ``functors`` both read it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .ff import FFMatrix
 from .modules import (
     ModuleRegistry,
     RepModule,
+    _content_key,
     _indec_iso_witness,
     direct_sum,
     hom_basis,
@@ -110,10 +113,6 @@ def syzygy(M: RepModule) -> tuple[RepModule, FFMatrix, RepModule, FFMatrix]:
     return om, inc, P, pi
 
 
-def syzygy_module(M: RepModule) -> RepModule:
-    return syzygy(M)[0]
-
-
 def minimal_presentation(M: RepModule) -> tuple[RepModule, RepModule, FFMatrix]:
     """(P1, P0, d) with P1 -> P0 -> M -> 0 minimal."""
     om, inc, P0, _ = syzygy(M)
@@ -122,44 +121,43 @@ def minimal_presentation(M: RepModule) -> tuple[RepModule, RepModule, FFMatrix]:
     return P1, P0, d
 
 
-def strip_projectives(M: RepModule) -> tuple[RepModule, RepModule]:
-    """(non-projective part, projective part), both basic-free direct sums
-    of the decomposition parts."""
-    registry = M.algebra.registry
-    if M.dim == 0:
-        z = zero_module(M.algebra)
-        return z, z
-    dec = registry.decompose(M)
-    nonproj = [p for (p, _), pid in zip(dec.parts, dec.part_ids)
-               if not registry.is_projective_id(pid)]
-    proj = [p for (p, _), pid in zip(dec.parts, dec.part_ids)
-            if registry.is_projective_id(pid)]
-    np_mod = direct_sum(*nonproj) if nonproj else zero_module(M.algebra)
-    pr_mod = direct_sum(*proj) if proj else zero_module(M.algebra)
-    return np_mod, pr_mod
+def syzygy_cached(registry: ModuleRegistry, M: RepModule) -> tuple[RepModule, tuple[int, ...]]:
+    """(Omega M, ids of the PIMs of the projective cover of M, with
+    multiplicity), computed once per content of M."""
+
+    def compute():
+        om, _, P, _ = syzygy(M)
+        return om, tuple(registry.ids_of(P))
+
+    return registry.memo("syzygy", _content_key(M), compute)
 
 
-def tau(M: RepModule) -> RepModule:
-    """Auslander-Reiten translate: double syzygy of the projective-free
-    part."""
-    registry = M.algebra.registry
-    core, _ = strip_projectives(M)
-    if core.dim == 0:
-        return zero_module(M.algebra)
-    pieces = [tau_indec_cached(registry, pid) for pid in registry.ids_of(core)]
-    pieces = [p for p in pieces if p.dim > 0]
-    return direct_sum(*pieces) if pieces else zero_module(M.algebra)
+def syzygy_ids(registry: ModuleRegistry, pid: int) -> list[int]:
+    """Ids of the summands of the syzygy of one registered class."""
+    return registry.ids_of(syzygy_cached(registry, registry.module(pid))[0])
 
 
 def tau_indec_cached(registry: ModuleRegistry, pid: int) -> RepModule:
-    """The translate of one registered indecomposable, memoised by id."""
+    """The translate of one registered indecomposable, memoised by id: the
+    syzygy of its syzygy, both read from the ``syzygy`` table."""
 
     def compute():
         if registry.is_projective_id(pid):
             return zero_module(registry.algebra)
-        return syzygy_module(syzygy_module(registry.module(pid)))
+        om, _ = syzygy_cached(registry, registry.module(pid))
+        return syzygy_cached(registry, om)[0]
 
     return registry.memo("tau", pid, compute)
+
+
+def tau_ids(registry: ModuleRegistry, pid: int) -> list[int]:
+    """Ids of the summands of the translate of one registered class."""
+
+    def compute():
+        t = tau_indec_cached(registry, pid)
+        return registry.ids_of(t) if t.dim else []
+
+    return registry.memo("tau_ids", pid, compute)
 
 
 # -- duals ----------------------------------------------------------------------

@@ -402,6 +402,7 @@ class ModuleRegistry:
                 "label",  # id -> label
                 "hom_basis",  # (id, id) -> basis of Hom
                 "rad_end",  # content key -> basis of rad End
+                "syzygy",  # content key -> (syzygy module, PIM ids of the projective cover)
                 "tau",  # id -> translate module
                 "tau_ids",  # id -> ids of the translate's summands
                 "hom_tau",  # (a, b) -> dim Hom(M_a, tau M_b)

