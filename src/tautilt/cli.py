@@ -76,7 +76,8 @@ class Cache:
     def load(self, key: str, fields) -> dict | None:
         """The outputs stored under ``key``, or None for a miss: no entry, an
         unreadable one, one written by another version or other sources, or
-        one whose outputs lack any of ``fields``."""
+        one whose outputs lack any of ``fields`` (name -> type) or hold one
+        of another type."""
         if self.directory is None:
             return None
         try:
@@ -90,7 +91,9 @@ class Cache:
         ):
             return None
         outputs = entry.get("outputs")
-        if not isinstance(outputs, dict) or not all(f in outputs for f in fields):
+        if not isinstance(outputs, dict) or not all(
+            isinstance(outputs.get(f), t) for f, t in fields.items()
+        ):
             return None
         return outputs
 
@@ -114,10 +117,10 @@ class Cache:
 
 def _cached(args, request: dict, fields, compute) -> dict:
     """The outputs of ``request`` (a command and its inputs) under the
-    options in ``args``: from the cache if it holds all of ``fields``, else
-    from ``compute()``, which is then stored.  The cache directory is none
-    with --no-cache, else --cache-dir, else TAUTILT_CACHE, else
-    ~/.cache/tautilt."""
+    options in ``args``: from the cache if it holds all of ``fields``, each
+    of the type it maps to, else from ``compute()``, which is then stored.
+    The cache directory is none with --no-cache, else --cache-dir, else
+    TAUTILT_CACHE, else ~/.cache/tautilt."""
     directory = None if args.no_cache else (
         args.cache_dir
         or os.environ.get("TAUTILT_CACHE")
@@ -227,7 +230,7 @@ def cmd_blocks(args) -> int:
     outputs = _cached(
         args,
         {"cmd": "blocks", "group": group_in},
-        ("stdout",),
+        {"stdout": str},
         lambda: _blocks_outputs(args, group_in),
     )
     sys.stdout.write(outputs["stdout"])
@@ -261,7 +264,7 @@ def cmd_stt(args) -> int:
     outputs = _cached(
         args,
         {"cmd": "stt", "group": group_in, "block": args.block},
-        ("stdout", "json", "dot"),
+        {"stdout": str, "json": str, "dot": str},
         lambda: _stt_outputs(args, group_in),
     )
     if args.json:
@@ -307,7 +310,7 @@ def cmd_verify(args) -> int:
     outputs = _cached(
         args,
         {"cmd": "verify", "sub": sub_in, "amb": amb_in, "theorems": sorted(wanted)},
-        ("stdout", "passed"),
+        {"stdout": str, "passed": bool},
         lambda: _verify_outputs(args, sub_in, amb_in, wanted),
     )
     sys.stdout.write(outputs["stdout"])

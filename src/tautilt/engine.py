@@ -11,8 +11,10 @@ Certification runs two independent checks and insists they agree:
 
 Enumeration is the downward mutation closure from the top pair; upward
 mutation goes through the order-reversing dual-pair construction, making
-mutation at a fixed summand an involution.  The Hasse diagram is
-cross-checkable against the covering relations recomputed from the order.
+mutation at a fixed summand an involution.  That construction sends a
+non-projective summand X to Tr X = D(tau X), so it reads the translates
+that tau-rigidity reads.  The Hasse diagram is cross-checkable against
+the covering relations recomputed from the order.
 """
 
 from __future__ import annotations
@@ -92,12 +94,8 @@ class TiltingContext:
         return self.registry.memo("block_lambda", self.key, compute)
 
     def hom_to_tau_dim(self, a: int, b: int) -> int:
-        """dim Hom(M_a, tau M_b)."""
-        return self.registry.memo(
-            "hom_tau",
-            (a, b),
-            lambda: sum(self.registry.hom_dim_ids(a, t) for t in homalg.tau_ids(self.registry, b)),
-        )
+        """dim Hom(M_a, tau M_b), summed over the summands of tau M_b."""
+        return sum(self.registry.hom_dim_ids(a, t) for t in homalg.tau_ids(self.registry, b))
 
     def module_of_ids(self, ids) -> RepModule:
         return self.registry.direct_sum_of_ids(list(ids))
@@ -341,10 +339,8 @@ def _delta_indec(ctx: TiltingContext, idx: int, part: str) -> tuple[str, int]:
 
     def compute():
         if part == "m" and not reg.is_projective_id(idx):
-            td = homalg.transpose_dual_indec(reg, idx)
-            return ("m", reg.find_or_register(td))
-        dual = homalg.dual_module(reg.module(idx))
-        did = reg.find_or_register(dual)
+            return ("m", reg.find_or_register(homalg.transpose_dual_indec(reg, idx)))
+        did = reg.find_or_register(homalg.dual_module(reg.module(idx)))
         if not reg.is_projective_id(did):
             raise EngineError("dual of a projective failed to be projective")
         return ("p", did) if part == "m" else ("m", did)

@@ -1,12 +1,15 @@
 """Homological operations: radicals, projective covers, syzygies, the AR
 translate, duals and minimal approximations.
 
-Group algebras are symmetric, so the translate of a non-projective
-indecomposable is its double syzygy; the tests compare it, up to
-isomorphism, with the Nakayama functor (dual of the hom-into-the-algebra
-functor) run on a minimal presentation.  The syzygy of a module is
-computed once per content, in the registry's ``syzygy`` table, where the
-translate and the L3.1 check of ``functors`` both read it.
+A projective cover is read off the Hom spaces out of the projective
+indecomposables.  Group algebras are symmetric, so the translate of a
+non-projective indecomposable is its double syzygy, and its dual-transpose
+is the dual of that; the tests compare them, up to isomorphism, with the
+Nakayama functor (dual of the hom-into-the-algebra functor) and the
+dualized cokernel, both run on a minimal presentation.  The syzygy of a
+module is computed once per content, in the registry's ``syzygy`` table,
+where the translate, the dual-transpose and the L3.1 check of
+``functors`` all read it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .modules import (
     ModuleRegistry,
     RepModule,
     _content_key,
-    _indec_iso_witness,
     direct_sum,
     hom_basis,
     quotient_module,
@@ -73,29 +75,28 @@ def loewy_label(registry: ModuleRegistry, M: RepModule) -> str:
 
 def projective_cover(M: RepModule) -> tuple[RepModule, FFMatrix]:
     """(P, pi) with pi: P -> M an essential epimorphism from a direct sum
-    of projective indecomposables matching top(M)."""
+    of projective indecomposables matching top(M).
+
+    Hom(P_S, -) is exact, and over a splitting field dim Hom(P_S, T) is the
+    multiplicity of the simple S in T.  So for each PIM P_S the basis maps
+    h: P_S -> M whose composites with the projection q onto top(M) are
+    independent give one copy of P_S per copy of S in the top."""
     registry = M.algebra.registry
     if M.dim == 0:
         return zero_module(M.algebra), FFMatrix.zeros(M.field, 0, 0)
     T, q = top(M)
-    dec = registry.decompose(T)
     pim_mods = []
     pi_columns = []
-    for (part_mod, inc), sid in zip(dec.parts, dec.part_ids):
-        pim = registry.module(registry.pim_of_simple(sid))
-        pim_top, pim_q = top(pim)
-        w = _iso_witness_strict(pim_top, registry.module(sid))
-        w2 = _iso_witness_strict(registry.module(sid), part_mod)
-        rho = inc @ w2 @ w @ pim_q  # PIM -> T hitting this summand
-        # lift along q: find pi_c in Hom(pim, M) with q . pi_c = rho
+    top_dim = 0
+    for sid, pid in zip(registry.simple_ids(), registry.pim_ids()):
+        pim = registry.module(pid)
         span = hom_basis(pim, M)
-        if not span:
-            raise AssertionError("no homomorphisms from the covering projective")
-        sol = rings.in_span(M.field, [q @ h for h in span], [rho])
-        if sol is None:
-            raise AssertionError("projective cover lift is infeasible")
-        pim_mods.append(pim)
-        pi_columns.append(rings.combine(M.field, sol.entries(), span))
+        kept = rings.extend_basis(M.field, [], [q @ h for h in span])
+        pim_mods.extend(pim for _ in kept)
+        pi_columns.extend(span[i] for i in kept)
+        top_dim += len(kept) * registry.module(sid).dim
+    if top_dim != T.dim:
+        raise AssertionError("projective cover is not essential")
     P = direct_sum(*pim_mods)
     pi = FFMatrix.hstack(*pi_columns)
     if pi.rank() != M.dim:
@@ -108,17 +109,7 @@ def syzygy(M: RepModule) -> tuple[RepModule, FFMatrix, RepModule, FFMatrix]:
     P, pi = projective_cover(M)
     if P.dim == 0:
         return zero_module(M.algebra), FFMatrix.zeros(M.field, 0, 0), P, pi
-    K = pi.nullspace()
-    om, inc = submodule(P, K)
-    return om, inc, P, pi
-
-
-def minimal_presentation(M: RepModule) -> tuple[RepModule, RepModule, FFMatrix]:
-    """(P1, P0, d) with P1 -> P0 -> M -> 0 minimal."""
-    om, inc, P0, _ = syzygy(M)
-    om1, inc1, P1, pi1 = syzygy(om)
-    d = inc @ pi1
-    return P1, P0, d
+    return (*submodule(P, pi.nullspace()), P, pi)
 
 
 def syzygy_cached(registry: ModuleRegistry, M: RepModule) -> tuple[RepModule, tuple[int, ...]]:
@@ -138,16 +129,12 @@ def syzygy_ids(registry: ModuleRegistry, pid: int) -> list[int]:
 
 
 def tau_indec_cached(registry: ModuleRegistry, pid: int) -> RepModule:
-    """The translate of one registered indecomposable, memoised by id: the
-    syzygy of its syzygy, both read from the ``syzygy`` table."""
-
-    def compute():
-        if registry.is_projective_id(pid):
-            return zero_module(registry.algebra)
-        om, _ = syzygy_cached(registry, registry.module(pid))
-        return syzygy_cached(registry, om)[0]
-
-    return registry.memo("tau", pid, compute)
+    """The translate of one registered indecomposable: the syzygy of its
+    syzygy, both read from the ``syzygy`` table."""
+    if registry.is_projective_id(pid):
+        return zero_module(registry.algebra)
+    om, _ = syzygy_cached(registry, registry.module(pid))
+    return syzygy_cached(registry, om)[0]
 
 
 def tau_ids(registry: ModuleRegistry, pid: int) -> list[int]:
@@ -166,22 +153,14 @@ def tau_ids(registry: ModuleRegistry, pid: int) -> list[int]:
 def dual_module(M: RepModule) -> RepModule:
     """k-dual as a left module: g acts by the transpose of the inverse."""
     g = M.algebra.group
-    mats = []
-    for pos, gi in enumerate(g.gen_indices):
-        inv_mat = M.action_of(g.inv(gi))
-        mats.append(inv_mat.transpose())
-    return RepModule(M.algebra, mats)
+    return RepModule(M.algebra, [M.action_of(g.inv(gi)).transpose() for gi in g.gen_indices])
 
 
 def transpose_dual_indec(registry: ModuleRegistry, pid: int) -> RepModule:
-    """The dual-transpose of a non-projective indecomposable: the cokernel
-    of the dualized minimal presentation."""
-    M = registry.module(pid)
-    P1, P0, d = minimal_presentation(M)
-    dd = d.transpose()  # the dual map D(P0) -> D(P1), in dual coordinates
-    DP1 = dual_module(P1)
-    cok, _ = quotient_module(DP1, dd.column_space_basis())
-    return cok
+    """The dual-transpose of a non-projective indecomposable X.  Group
+    algebras are symmetric, so Tr X, the cokernel of the dualized minimal
+    presentation, is D(Omega^2 X) = D(tau X)."""
+    return dual_module(tau_indec_cached(registry, pid))
 
 
 # -- approximations --------------------------------------------------------------
@@ -216,14 +195,9 @@ def minimal_left_approximation(
         # complete rad_span to the full hom space with members of hom_to[ti]
         kept = rings.extend_basis(field, rad_span, hom_to[ti])
         chosen.extend((ti, hom_to[ti][i]) for i in kept)
-    if not chosen:
-        target = zero_module(X.algebra)
-        f = FFMatrix.zeros(field, 0, X.dim)
-        _assert_left_approximation(X, f, [], ids, registry)
-        return f, target, []
     comp_ids = [t for t, _ in chosen]
-    target = direct_sum(*[registry.module(t) for t in comp_ids])
-    f = FFMatrix.vstack(*[h for _, h in chosen])
+    target = registry.direct_sum_of_ids(comp_ids)
+    f = FFMatrix.vstack(*[h for _, h in chosen]) if chosen else FFMatrix.zeros(field, 0, X.dim)
     _assert_left_approximation(X, f, comp_ids, ids, registry)
     return f, target, comp_ids
 
@@ -231,21 +205,17 @@ def minimal_left_approximation(
 def _assert_left_approximation(X, f, comp_ids, ids, registry):
     """Hom(f, T): Hom(target, T) -> Hom(X, T) must be onto for all T."""
     field = X.field
-    offsets = []
-    pos = 0
+    components = []  # (class t, the component X -> T_t of f)
+    start = 0
     for t in comp_ids:
-        d = registry.module(t).dim
-        offsets.append((pos, pos + d, t))
-        pos += d
+        end = start + registry.module(t).dim
+        components.append((t, f.take_rows(range(start, end))))
+        start = end
     for ti in ids:
         full = hom_basis(X, registry.module(ti))
         if not full:
             continue
-        images = []
-        for start, end, t in offsets:
-            comp_f = f.take_rows(range(start, end))  # X -> T_t component
-            for g in registry.hom_basis_ids(t, ti):
-                images.append(g @ comp_f)
+        images = [g @ comp_f for t, comp_f in components for g in registry.hom_basis_ids(t, ti)]
         got = len(rings.reduce_span(field, images))
         want = len(rings.reduce_span(field, full))
         if got != want:
@@ -256,14 +226,4 @@ def _assert_left_approximation(X, f, comp_ids, ids, registry):
 
 def cokernel(f: FFMatrix, target: RepModule) -> tuple[RepModule, FFMatrix]:
     """(coker f, projection) for a module map into target."""
-    img = f.column_space_basis()
-    return quotient_module(target, img)
-
-
-def _iso_witness_strict(A: RepModule, B: RepModule) -> FFMatrix:
-    if A.dim == 0 and B.dim == 0:
-        return FFMatrix.zeros(A.field, 0, 0)
-    w = _indec_iso_witness(A, B)
-    if w is None:
-        raise AssertionError("expected isomorphic indecomposables")
-    return w
+    return quotient_module(target, f.column_space_basis())

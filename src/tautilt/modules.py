@@ -403,9 +403,7 @@ class ModuleRegistry:
                 "hom_basis",  # (id, id) -> basis of Hom
                 "rad_end",  # content key -> basis of rad End
                 "syzygy",  # content key -> (syzygy module, PIM ids of the projective cover)
-                "tau",  # id -> translate module
                 "tau_ids",  # id -> ids of the translate's summands
-                "hom_tau",  # (a, b) -> dim Hom(M_a, tau M_b)
                 "generates",  # (source ids, target id) -> bool
                 "delta",  # (id, part) -> image under the dual-pair map
                 "block_classes",  # block index -> (simple ids, PIM ids)
@@ -594,16 +592,14 @@ class ModuleRegistry:
             if part.lambda_inclusion is None:
                 part.lambda_inclusion = inc
         top_mod, _ = homalg.top(reg_mod)
-        simple_dec = self.decompose(top_mod)
-        simple_ids = sorted(set(simple_dec.part_ids), key=self._simple_sort_key)
+        simple_ids = sorted(set(self.decompose(top_mod).part_ids), key=self._simple_sort_key)
+        # match each PIM to its top: the one simple it maps onto
         pim_of_simple = {}
-        # match each PIM to its simple top
         for pid in set(pim_dec.part_ids):
-            t, _ = homalg.top(self.entries[pid])
-            tid = self.decompose(t).part_ids
-            if len(tid) != 1:
+            tops = [s for s in simple_ids if self.hom_dim_ids(pid, s)]
+            if len(tops) != 1:
                 raise AssertionError("projective indecomposable with decomposable top")
-            pim_of_simple[tid[0]] = pid
+            pim_of_simple[tops[0]] = pid
         labels = self._tables["label"]
         for pos, sid in enumerate(simple_ids):
             labels[sid] = str(pos + 1)

@@ -7,6 +7,7 @@ import functools
 import numpy as np
 
 from tautilt import homalg
+from tautilt.algebra import GroupAlgebra
 from tautilt.ff import FFMatrix
 from tautilt.groups import (
     FiniteGroup,
@@ -16,7 +17,14 @@ from tautilt.groups import (
     group_from_generators,
     perm_from_cycles,
 )
-from tautilt.modules import RepModule, direct_sum, regular_module, submodule, trivial_module
+from tautilt.modules import (
+    ModuleRegistry,
+    RepModule,
+    direct_sum,
+    regular_module,
+    submodule,
+    trivial_module,
+)
 
 
 # -- standard constructions ------------------------------------------------
@@ -139,6 +147,18 @@ def fixture_groups():
         symmetric_group(5),
     ]
     return {g.name: g for g in groups}
+
+
+def registry_with_syzygies(group: FiniteGroup, field):
+    """A fresh registry of the group algebra over ``field``, holding the
+    classes it holds once built (the PIMs, the simples and the pieces of
+    the split) and then the classes their syzygies register.  Raises
+    FieldNotSplittingError when the field does not split the algebra."""
+    reg = ModuleRegistry(GroupAlgebra(group, field))
+    reg.pim_ids()
+    for pos in range(len(reg.entries)):
+        homalg.syzygy_ids(reg, pos)
+    return reg
 
 
 def corpus_of(pair_ctx, max_modules=10):

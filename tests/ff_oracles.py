@@ -31,6 +31,10 @@ program against, and that the program itself does not run:
 * Hom dimensions, the Cartan matrix, and the translate through the
   Nakayama functor on a minimal presentation (``test_modules.py``,
   ``test_acceptance.py``);
+* the projective cover that split top(M) into simples and lifted the map
+  from the top of each PIM through two isomorphism witnesses, the minimal
+  presentation built from two of its syzygies, and the dual-transpose as
+  the cokernel of the dualized presentation (``test_covers.py``);
 * the check that induction up to the inertial group lands in covering
   blocks (P2.11.1, ``test_functors.py``);
 * the pair of a module, and the pair with its certified support, their
@@ -63,10 +67,12 @@ from tautilt.groups import perm_compose
 from tautilt.modules import (
     ModuleRegistry,
     RepModule,
+    _indec_iso_witness,
     block_component,
     direct_sum,
     hom_basis,
     lies_in_block,
+    quotient_module,
     regular_module,
     submodule,
     zero_module,
@@ -565,6 +571,77 @@ def whole_module_l31(
     )
 
 
+# -- covers and presentations from the split top ---------------------------------
+
+
+def _iso_witness_strict(A: RepModule, B: RepModule) -> FFMatrix:
+    if A.dim == 0 and B.dim == 0:
+        return FFMatrix.zeros(A.field, 0, 0)
+    w = _indec_iso_witness(A, B)
+    if w is None:
+        raise AssertionError("expected isomorphic indecomposables")
+    return w
+
+
+def split_top_cover(M: RepModule) -> tuple[RepModule, FFMatrix]:
+    """(P, pi) with pi: P -> M an essential epimorphism: top(M) split into
+    simples, each hit by the top of its PIM through two isomorphism
+    witnesses, and the map lifted along the projection onto the top."""
+    registry = M.algebra.registry
+    if M.dim == 0:
+        return zero_module(M.algebra), FFMatrix.zeros(M.field, 0, 0)
+    T, q = homalg.top(M)
+    dec = registry.decompose(T)
+    pim_mods = []
+    pi_columns = []
+    for (part_mod, inc), sid in zip(dec.parts, dec.part_ids):
+        pim = registry.module(registry.pim_of_simple(sid))
+        pim_top, pim_q = homalg.top(pim)
+        w = _iso_witness_strict(pim_top, registry.module(sid))
+        w2 = _iso_witness_strict(registry.module(sid), part_mod)
+        rho = inc @ w2 @ w @ pim_q  # PIM -> T hitting this summand
+        # lift along q: find pi_c in Hom(pim, M) with q . pi_c = rho
+        span = hom_basis(pim, M)
+        if not span:
+            raise AssertionError("no homomorphisms from the covering projective")
+        sol = rings.in_span(M.field, [q @ h for h in span], [rho])
+        if sol is None:
+            raise AssertionError("projective cover lift is infeasible")
+        pim_mods.append(pim)
+        pi_columns.append(rings.combine(M.field, sol.entries(), span))
+    P = direct_sum(*pim_mods)
+    pi = FFMatrix.hstack(*pi_columns)
+    if pi.rank() != M.dim:
+        raise AssertionError("projective cover map is not surjective")
+    return P, pi
+
+
+def split_top_syzygy(M: RepModule) -> tuple[RepModule, FFMatrix, RepModule, FFMatrix]:
+    """(Omega M, inclusion into P, P, pi) for the split-top cover."""
+    P, pi = split_top_cover(M)
+    if P.dim == 0:
+        return zero_module(M.algebra), FFMatrix.zeros(M.field, 0, 0), P, pi
+    om, inc = submodule(P, pi.nullspace())
+    return om, inc, P, pi
+
+
+def minimal_presentation(M: RepModule) -> tuple[RepModule, RepModule, FFMatrix]:
+    """(P1, P0, d) with P1 -> P0 -> M -> 0 minimal, from split-top covers."""
+    om, inc, P0, _ = split_top_syzygy(M)
+    _, _, P1, pi1 = split_top_syzygy(om)
+    return P1, P0, inc @ pi1
+
+
+def presentation_transpose_dual(M: RepModule) -> RepModule:
+    """The dual-transpose of a non-projective indecomposable: the cokernel
+    of the dualized minimal presentation D(P0) -> D(P1)."""
+    P1, P0, d = minimal_presentation(M)
+    dd = d.transpose()  # the dual map D(P0) -> D(P1), in dual coordinates
+    DP1 = homalg.dual_module(P1)
+    cok, _ = quotient_module(DP1, dd.column_space_basis())
+    return cok
+
+
 # -- Nakayama construction ------------------------------------------------------
 
 
@@ -600,7 +677,7 @@ def nakayama_tau(M: RepModule) -> RepModule:
     core, _ = strip_projectives(M)
     if core.dim == 0:
         return zero_module(M.algebra)
-    P1, P0, d = homalg.minimal_presentation(core)
+    P1, P0, d = minimal_presentation(core)
     nu1, basis1 = nu_of_projective(P1)
     nu0, basis0 = nu_of_projective(P0)
     # Hom(d, Lambda): Hom(P0, L) -> Hom(P1, L), f -> f d; nu(d) is its dual

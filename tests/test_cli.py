@@ -641,6 +641,34 @@ def test_unwritable_cache_dir_skips_the_store(group_files, capsys, tmp_path):
 def test_cache_entry_missing_an_output_is_a_miss(group_files, capsys, tmp_path, command, field):
     """An entry whose outputs lack one that the command reads ended in a
     KeyError traceback; now it is recomputed."""
+    check_edited_entry_is_recomputed(group_files, capsys, tmp_path, command, field,
+                                     lambda outputs: outputs.pop(field))
+
+
+@pytest.mark.parametrize(
+    "command, field, wrong",
+    [
+        (["blocks", "C2", "--p", "2"], "stdout", 5),
+        (["stt", "C2", "--p", "2", "--json", "OUT"], "json", 5),
+        (["stt", "C2", "--p", "2", "--dot", "OUT"], "dot", ["digraph"]),
+        (["verify", "C3", "S3", "--p", "3"], "passed", 0),
+    ],
+)
+def test_cache_entry_with_a_wrongly_typed_output_is_a_miss(
+    group_files, capsys, tmp_path, command, field, wrong
+):
+    """An entry whose stdout was a number ended in a TypeError traceback
+    and exit 1, and a ``passed`` of 0 gave the exit code of a failed
+    verify; an output of another type than the command reads is now a
+    miss, and recomputed."""
+    check_edited_entry_is_recomputed(group_files, capsys, tmp_path, command, field,
+                                     lambda outputs: outputs.update({field: wrong}))
+
+
+def check_edited_entry_is_recomputed(group_files, capsys, tmp_path, command, field, edit):
+    """After ``edit`` changed the outputs of the cache entry of a first
+    run, the command gives the first run's results and stores ``field``
+    again with the type of a fresh run."""
     cache = tmp_path / "cache"
     out_file = tmp_path / "out"
     argv = [group_files.get(a, a) for a in command]
@@ -654,10 +682,11 @@ def test_cache_entry_missing_an_output_is_a_miss(group_files, capsys, tmp_path, 
     assert fresh[0] == 0
     (entry,) = cache.glob("*.json")
     data = json.loads(entry.read_text())
-    del data["outputs"][field]
+    stored = data["outputs"][field]
+    edit(data["outputs"])
     entry.write_text(json.dumps(data))
     assert result() == fresh
-    assert field in json.loads(entry.read_text())["outputs"]
+    assert type(json.loads(entry.read_text())["outputs"][field]) is type(stored)
 
 
 def _python(code):

@@ -3,7 +3,8 @@ function or class is referenced from package code other than its own
 definition, or is exported in ``tautilt.__all__``; every method is
 referenced by name from package code other than its own body, or is in
 PUBLIC_METHODS.  Docstrings and imports are not references; dunders are
-exempt."""
+exempt.  Every memo table that ``ModuleRegistry.__init__`` declares is
+named by a ``memo("...")`` call or a ``_tables["..."]`` read."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,45 @@ def unreferenced_definitions() -> list[str]:
 def test_every_definition_is_used_or_exported():
     assert unreferenced_definitions() == []
 
+
+
+def declared_tables() -> set[str]:
+    """The table names in the tuple that ``ModuleRegistry.__init__`` builds
+    its ``_tables`` from."""
+    tree = ast.parse((SRC / "modules.py").read_text())
+    (registry,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ModuleRegistry"]
+    (init,) = [n for n in registry.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    (tables,) = [
+        n.value for n in ast.walk(init)
+        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Attribute)
+        and n.target.attr == "_tables"
+    ]
+    (names,) = [g.iter for g in tables.generators]
+    return {c.value for c in names.elts}
+
+
+def named_tables() -> set[str]:
+    """The table names that a ``memo`` call passes first or a ``_tables``
+    subscript reads, anywhere in the package."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and node.args and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "memo"
+            ):
+                name = node.args[0]
+            elif isinstance(node, ast.Subscript) and (
+                isinstance(node.value, ast.Attribute) and node.value.attr == "_tables"
+            ):
+                name = node.slice
+            else:
+                continue
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                out.add(name.value)
+    return out
+
+
+def test_every_declared_table_is_used():
+    declared = declared_tables()
+    assert "syzygy" in declared
+    assert sorted(declared - named_tables()) == []

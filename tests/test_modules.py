@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corpus import alternating_group, radical
+from corpus import alternating_group, fixture_groups, radical, registry_with_syzygies
 from ff_oracles import cartan_matrix, hom_dim, nakayama_tau, tau
 from tautilt import homalg
 from tautilt.algebra import GroupAlgebra
@@ -394,16 +394,20 @@ def test_dual_of_pim_is_pim(s4_gf4):
         assert all(registry.is_projective_id(i) for i in registry.ids_of(D))
 
 
-def test_transpose_dual_involution(a4_gf4):
-    registry = reg_of(a4_gf4)
-    k = trivial_module(a4_gf4)
-    kid = registry.ids_of(k)[0]
-    td = homalg.transpose_dual_indec(registry, kid)
-    assert td.dim > 0
-    td_id = registry.ids_of(td)[0]
-    back = homalg.transpose_dual_indec(registry, td_id)
-    ok, _ = is_isomorphic(back, registry.module(kid))
-    assert ok
+def test_transpose_dual_involution():
+    """Tr Tr X = X on every non-projective class of kA4 and kS4 over GF(4)
+    that a registry holds once built or that their syzygies register."""
+    for name in ("A4", "S4"):
+        registry = registry_with_syzygies(fixture_groups()[name], field_create(2, 2))
+        nonprojective = [i for i in range(len(registry.entries)) if not registry.is_projective_id(i)]
+        assert nonprojective
+        for kid in nonprojective:
+            td = homalg.transpose_dual_indec(registry, kid)
+            assert td.dim > 0
+            (td_id,) = registry.ids_of(td)
+            back = homalg.transpose_dual_indec(registry, td_id)
+            ok, _ = is_isomorphic(back, registry.module(kid))
+            assert ok
 
 
 # -- approximations ----------------------------------------------------------------------
