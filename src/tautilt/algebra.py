@@ -209,8 +209,8 @@ def _lift(vec, emb: SubgroupEmbedding) -> list[int]:
 
 
 class InertialGroup:
-    """The stabilizer of a block of the normal subgroup inside the
-    overgroup, presented with its embeddings in both directions."""
+    """The stabilizer of a block of the normal subgroup N inside the
+    overgroup, given by the coset representatives of N that it contains."""
 
     def __init__(self, block: Block, emb: SubgroupEmbedding):
         if not emb.normal:
@@ -221,21 +221,9 @@ class InertialGroup:
         # x e x^-1 = e when conjugation by x keeps every coefficient of the support
         stable_reps = [rep for rep in emb.coset_reps
                        if all(lifted[amb.conjugate(rep, i)] == lifted[i] for i in support)]
-        members = []
-        image = set(emb.element_map)
-        for rep in stable_reps:
-            for h in image:
-                members.append(amb.mul(rep, h))
         self.block = block
-        self.emb = emb
-        self.group = emb.amb.subgroup(sorted(set(members)), name=f"I({block.label()})")
         self.stable_coset_reps = tuple(stable_reps)
-        self.into_amb = SubgroupEmbedding(self.group, emb.amb)
-        self.sub_in_inertial = SubgroupEmbedding(emb.sub, self.group)
-
-    @property
-    def order(self) -> int:
-        return self.group.order
+        self.order = emb.sub.order * len(stable_reps)  # |N| elements per coset
 
     def __repr__(self):
         return f"InertialGroup({self.block!r}, order={self.order})"

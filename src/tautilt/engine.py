@@ -52,8 +52,8 @@ class PosetCapExceeded(EngineError):
 class TiltingContext:
     """A group algebra or one of its blocks, viewed through the algebra's
     registry: the facts the engine memoises (simples, projectives, hom
-    data, certificates, mutations) live there, keyed by ``key``, the block
-    index (None for the whole algebra).  Building a context is cheap."""
+    data, certificates) live there, keyed by ``key``, the block index (None
+    for the whole algebra).  Building a context is cheap."""
 
     def __init__(self, algebra: GroupAlgebra, block: Block | None = None):
         self.algebra = algebra
@@ -362,17 +362,6 @@ def delta_pair(pair: STauTiltPair) -> STauTiltPair:
     return STauTiltPair(ctx, tuple(sorted(new_m)), tuple(sorted(new_p)))
 
 
-def _down_mutation_cached(pair: STauTiltPair, removed: int) -> STauTiltPair | None:
-    ctx = pair.ctx
-
-    def compute():
-        down = _down_mutation(pair, removed)
-        return None if down is None else down.key
-
-    key = ctx.registry.memo("mutation", (ctx.key, pair.key, removed), compute)
-    return None if key is None else STauTiltPair(ctx, *key)
-
-
 def mutate(pair: STauTiltPair, summand_index: int, direction: str = "auto") -> MutationResult:
     """Exchange the chosen indecomposable summand for the unique other
     completion of the remaining almost-complete pair.
@@ -387,7 +376,7 @@ def mutate(pair: STauTiltPair, summand_index: int, direction: str = "auto") -> M
     removed = all_ids[summand_index]
     ctx = pair.ctx
     if in_m:
-        down = _down_mutation_cached(pair, removed)
+        down = _down_mutation(pair, removed)
         if down is not None:
             if direction == "up":
                 raise MutationDirectionError(
@@ -405,7 +394,7 @@ def mutate(pair: STauTiltPair, summand_index: int, direction: str = "auto") -> M
     dpart, dremoved = _delta_indec(ctx, removed, "m" if in_m else "p")
     if dpart != "m":
         raise EngineError("dual image of the removed summand left the module part")
-    ddown = _down_mutation_cached(dpair, dremoved)
+    ddown = _down_mutation(dpair, dremoved)
     if ddown is None:
         raise EngineError(
             f"no exchange found at summand {removed} in either direction"
@@ -570,7 +559,7 @@ def enumerate_poset(ctx: TiltingContext, node_cap: int = 512) -> HassePoset:
         nxt = []
         for node in frontier:
             for removed in node.m_ids:
-                down = _down_mutation_cached(node, removed)
+                down = _down_mutation(node, removed)
                 if down is None:
                     continue
                 edges.add((node.key, down.key))

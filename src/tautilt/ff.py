@@ -129,6 +129,9 @@ class FieldSpec:
             raise FFError(f"field size {q} exceeds table cap {_TABLE_CAP}")
         if len(modulus) != m + 1 or modulus[m] != 1:
             raise FFError("modulus must be monic of degree m")
+        for c in modulus:
+            if type(c) is not int or not 0 <= c < p:
+                raise FFError(f"modulus coefficient {c!r} is not in range({p})")
         self.p = p
         self.m = m
         self.q = q
@@ -139,8 +142,10 @@ class FieldSpec:
         """Every table from array operations: sums add base-p digits mod p,
         products add the logarithms to the base of the least primitive
         code (the first whose powers walk through all q - 1 units)."""
+        from . import polys  # cycle: polys computes over FieldSpec
+
         p, m, q = self.p, self.m, self.q
-        if not _poly_is_irreducible_gfp(self.modulus, p):
+        if m > 1 and not polys.is_irreducible(field_create(p, 1), self.modulus):
             raise FFError("modulus is not irreducible: element without inverse")
         places = p ** np.arange(m, dtype=np.int64)
         digits = np.arange(q)[:, None] // places % p  # (q, m): digits[a, i] = c_i of a
@@ -241,52 +246,6 @@ class FieldSpec:
         return (FieldSpec, (self.p, self.m, self.modulus))
 
 
-def _poly_is_irreducible_gfp(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility over GF(p) of a monic poly (little-endian coeffs)."""
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    # no roots in GF(p)
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    if deg <= 3:
-        return True
-    # trial division by monic polys of degree 2..deg//2
-    def polys_of_degree(d):
-        for code in range(p**d):
-            body = []
-            c = code
-            for _ in range(d):
-                body.append(c % p)
-                c //= p
-            yield body + [1]
-
-    def divides(g, f):
-        f = list(f)
-        dg = len(g) - 1
-        while len(f) - 1 >= dg and any(f):
-            if f[-1] == 0:
-                f.pop()
-                continue
-            lead = f[-1]
-            shift = len(f) - 1 - dg
-            for i, gc in enumerate(g):
-                f[shift + i] = (f[shift + i] - lead * gc) % p
-            while f and f[-1] == 0:
-                f.pop()
-        return not any(f)
-
-    for d in range(2, deg // 2 + 1):
-        for g in polys_of_degree(d):
-            if divides(g, coeffs):
-                return False
-    return True
-
-
 def _least_primitive_root(p: int) -> int:
     if p == 2:
         return 1
@@ -308,9 +267,12 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     For m >= 2: the monic irreducible whose coefficient tuple
     (c_{m-1}, ..., c_0) is lexicographically least.  For m == 1: x - g with
     g the least primitive root (so GF(2) gets x + 1)."""
+    from . import polys  # cycle: polys computes over FieldSpec
+
     if m == 1:
         g = _least_primitive_root(p)
         return ((-g) % p, 1)
+    prime_field = field_create(p, 1)
     for code in range(p**m):
         c = code
         digits = []
@@ -321,7 +283,7 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         # significant first, are exactly the little-endian coefficients, and
         # ascending code order is lex order on (c_{m-1}, ..., c_0).
         le = tuple(digits) + (1,)
-        if _poly_is_irreducible_gfp(le, p):
+        if polys.is_irreducible(prime_field, le):
             return le
     raise FFError(f"no irreducible polynomial of degree {m} over GF({p})")
 

@@ -189,20 +189,6 @@ class FiniteGroup:
             self._classes = tuple(sorted(classes, key=lambda c: c[0]))
         return self._classes
 
-    def subgroup(self, element_indices, name: str = "") -> "FiniteGroup":
-        """The subgroup on the given element set, as its own group with the
-        same degree; the set must be closed under composition."""
-        elems = sorted(self.elements[i] for i in element_indices)
-        elem_set = set(elems)
-        for a in elems:
-            for b in elems:
-                if perm_compose(a, b) not in elem_set:
-                    raise GroupError("element set is not closed under composition")
-        gens = [e for e in elems if e != perm_identity(self.degree)] or [
-            perm_identity(self.degree)
-        ]
-        return FiniteGroup(self.degree, gens, elems, name=name)
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 

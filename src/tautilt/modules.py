@@ -235,35 +235,27 @@ def lies_in_block(M: RepModule, block: Block) -> bool:
 
 
 def hom_basis(M: RepModule, N: RepModule) -> list[FFMatrix]:
-    """Basis of Hom(M, N) as matrices of shape (N.dim, M.dim).
-
-    A direct sum is lifted from its parts, and a summand of the regular
-    module takes the free-module shortcut (columns are orbit images); these
-    bases depend on how M was built.  Any other pair is solved by the
-    intertwiner solver once per pair of contents, in the registry."""
+    """Basis of Hom(M, N) as matrices of shape (N.dim, M.dim), in the form
+    of ``ff.reversed_echelon_basis``.  That form depends on the space alone,
+    so on the two generator tuples: the registry holds it once per pair of
+    contents.  A summand of the regular module spans the space by the
+    free-module shortcut (columns are orbit images); any other module is
+    solved by the intertwiner solver."""
     if M.algebra is not N.algebra:
         raise ModuleError("hom space across different algebras")
     if M.dim == 0 or N.dim == 0:
         return []
-    if M.sum_parts is not None:
-        out = []
-        for part, offset in M.sum_parts:
-            for h in hom_basis(part, N):
-                lifted = np.zeros((N.dim, M.dim), dtype=_CODE_DTYPE)
-                lifted[:, offset : offset + part.dim] = h.data
-                out.append(FFMatrix._trusted(M.field, lifted))
-        return out
-    if M.lambda_inclusion is not None:
-        return rings.reduce_span(M.field, _hom_from_regular_summand(M, N))
-    # the solver's basis depends on the two generator tuples alone
-    solved = M.algebra.registry.memo(
-        "hom",
-        (_content_key(M), _content_key(N)),
-        lambda: solve_intertwiner_system(
-            M.field, list(zip(M.gen_mats, N.gen_mats)), (N.dim, M.dim)
-        ),
-    )
-    return list(solved)
+
+    def compute():
+        if M.lambda_inclusion is None:
+            return solve_intertwiner_system(
+                M.field, list(zip(M.gen_mats, N.gen_mats)), (N.dim, M.dim)
+            )
+        maps = np.array([h.data.ravel() for h in _hom_from_regular_summand(M, N)])
+        return reversed_echelon_basis(M.field, maps, (N.dim, M.dim))
+
+    key = (_content_key(M), _content_key(N))
+    return list(M.algebra.registry.memo("hom", key, compute))
 
 
 def _hom_from_regular_summand(M: RepModule, N: RepModule) -> list[FFMatrix]:
@@ -319,28 +311,17 @@ def is_isomorphic(M: RepModule, N: RepModule):
     reg = M.algebra.registry
     dm = reg.decompose(M)
     dn = reg.decompose(N)
-    if sorted(dm.part_ids) != sorted(dn.part_ids):
+    # both are sorted by (dimension, id), so matching parts share positions
+    if dm.part_ids != dn.part_ids:
         return False, None
-    # match parts id by id and build a block witness
-    remaining = list(range(len(dn.part_ids)))
-    order = []
-    for i, pid in enumerate(dm.part_ids):
-        for pos in remaining:
-            if dn.part_ids[pos] == pid:
-                order.append(pos)
-                remaining.remove(pos)
-                break
     blocks = []
-    for i, pos in enumerate(order):
-        w = _indec_iso_witness(dm.parts[i][0], dn.parts[pos][0])
+    for (pm, _), (pn, _) in zip(dm.parts, dn.parts):
+        w = _indec_iso_witness(pm, pn)
         if w is None:
             raise AssertionError("registry matched parts that fail to be isomorphic")
         blocks.append(w)
     W = block_diag(M.field, blocks)
-    T_m = dm.change_of_basis()
-    # target change of basis, with columns permuted into the matching order
-    T_n = FFMatrix.hstack(*[dn.parts[pos][1] for pos in order])
-    witness = T_n @ W @ T_m.inverse()
+    witness = dn.change_of_basis() @ W @ dm.change_of_basis().inverse()
     for gm, gn in zip(M.gen_mats, N.gen_mats):
         if (witness @ gm) != (gn @ witness):
             raise AssertionError("assembled isomorphism witness fails to intertwine")
@@ -385,7 +366,9 @@ class ModuleRegistry:
     Fingerprints prune candidate classes; a hom-witness search decides.
     Every memo table is declared here and read through ``memo``.  Keys are
     module content, registry ids, pair keys and block indices (None for
-    the whole algebra), never object identities."""
+    the whole algebra), never object identities.  Hom and End bases of
+    modules and of classes alike live in the one ``hom`` table, keyed by
+    the two contents."""
 
     def __init__(self, algebra: GroupAlgebra):
         self.algebra = algebra
@@ -396,11 +379,10 @@ class ModuleRegistry:
             name: {}
             for name in (
                 "decompose",  # content key -> Decomposition
-                "hom",  # (content key, content key) -> solved basis of Hom or End
+                "hom",  # (content key, content key) -> basis of Hom in the canonical form
                 "idempotent",  # content key -> splitting idempotent or None
                 "semisimple",  # None -> (simple ids, PIM id of each simple)
                 "label",  # id -> label
-                "hom_basis",  # (id, id) -> basis of Hom
                 "rad_end",  # content key -> basis of rad End
                 "syzygy",  # content key -> (syzygy module, PIM ids of the projective cover)
                 "tau_ids",  # id -> ids of the translate's summands
@@ -409,7 +391,6 @@ class ModuleRegistry:
                 "block_classes",  # block index -> (simple ids, PIM ids)
                 "block_lambda",  # block index -> the block as a module
                 "certificate",  # (block index, pair key) -> Certificate
-                "mutation",  # (block index, pair key, id) -> pair key or None
                 "twist",  # (group indices, content key) -> registered twist
                 "induced",  # (source content key, coset actions) -> ids of the induction
             )
@@ -537,9 +518,7 @@ class ModuleRegistry:
         return len(self.hom_basis_ids(a, b))
 
     def hom_basis_ids(self, a: int, b: int) -> list[FFMatrix]:
-        return self.memo(
-            "hom_basis", (a, b), lambda: hom_basis(self.entries[a], self.entries[b])
-        )
+        return hom_basis(self.entries[a], self.entries[b])
 
     def _end(self, M: RepModule) -> list[FFMatrix]:
         """Basis of End(M), solved once per content, in the table where

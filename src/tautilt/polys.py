@@ -248,6 +248,11 @@ def factor(F: FieldSpec, f: Poly) -> list[tuple[Poly, int]]:
     return sorted(merged.items(), key=lambda km: (degree(km[0]), km[0]))
 
 
+def is_irreducible(F: FieldSpec, f: Poly) -> bool:
+    """Whether the monic f of degree >= 1 is irreducible over F."""
+    return factor(F, f) == [(tuple(f), 1)]
+
+
 def crt_idempotent_coeffs(F: FieldSpec, f: Poly, part: Poly) -> Poly:
     """For a monic f = part * rest with gcd(part, rest) = 1: the polynomial
     e of degree < deg f with e = 0 mod part and e = 1 mod rest."""

@@ -15,7 +15,9 @@ from tautilt.groups import (
     Perm,
     SubgroupEmbedding,
     group_from_generators,
+    perm_compose,
     perm_from_cycles,
+    perm_identity,
 )
 from tautilt.modules import (
     ModuleRegistry,
@@ -147,6 +149,23 @@ def fixture_groups():
         symmetric_group(5),
     ]
     return {g.name: g for g in groups}
+
+
+def inertial_embeddings(inert, emb: SubgroupEmbedding):
+    """The inertial group ``inert`` of a block of the normal subgroup of
+    ``emb``, as a closure-checked subgroup of the overgroup: (the group,
+    the normal subgroup in it, it in the overgroup)."""
+    amb = emb.amb
+    indices = {amb.mul(rep, h) for rep in inert.stable_coset_reps for h in emb.element_map}
+    elems = sorted(amb.elements[i] for i in indices)
+    elem_set = set(elems)
+    for a in elems:
+        for b in elems:
+            if perm_compose(a, b) not in elem_set:
+                raise GroupError("element set is not closed under composition")
+    gens = [e for e in elems if e != perm_identity(amb.degree)] or [perm_identity(amb.degree)]
+    group = FiniteGroup(amb.degree, gens, elems, name=f"I({inert.block.label()})")
+    return group, SubgroupEmbedding(emb.sub, group), SubgroupEmbedding(group, amb)
 
 
 def registry_with_syzygies(group: FiniteGroup, field):

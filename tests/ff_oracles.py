@@ -20,14 +20,18 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   it took the radical (``test_inherited.py``);
 * the per-element word products, the support-and-scale-add loop and the
   column-at-a-time regular hom that the action stack of a module replaced
-  (``test_actions.py``).
+  (``test_actions.py``);
+* the irreducibility test over GF(p) by a root test and trial division
+  that ``polys.is_irreducible`` replaced (``test_ff.py``);
+* the Hom space of a direct sum lifted from the Hom spaces of its parts,
+  which ``modules.hom_basis`` solved in place of the sum
+  (``test_hom_canonical.py``).
 
 It also holds the independent constructions that the tests check the
 program against, and that the program itself does not run:
 
 * the Kronecker product, and the outer tensor with a regular module that
   induction along a direct factor must agree with (``test_functors.py``);
-* irreducibility through ``polys.factor`` (``test_polys.py``);
 * Hom dimensions, the Cartan matrix, and the translate through the
   Nakayama functor on a minimal presentation (``test_modules.py``,
   ``test_acceptance.py``);
@@ -495,11 +499,62 @@ def kron(A: FFMatrix, B: FFMatrix) -> FFMatrix:
     return FFMatrix._trusted(f, out)
 
 
-def is_irreducible(F: FieldSpec, f) -> bool:
-    if polys.degree(f) < 1:
-        return False
-    fs = polys.factor(F, f)
-    return len(fs) == 1 and fs[0][1] == 1
+def trial_division_irreducible(coeffs, p: int) -> bool:
+    """Irreducibility over GF(p) of a monic poly (little-endian coeffs): no
+    root, and no monic factor of degree 2 .. deg // 2."""
+    deg = len(coeffs) - 1
+    if deg == 1:
+        return True
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            return False
+    if deg <= 3:
+        return True
+
+    def polys_of_degree(d):
+        for code in range(p**d):
+            body = []
+            c = code
+            for _ in range(d):
+                body.append(c % p)
+                c //= p
+            yield body + [1]
+
+    def divides(g, f):
+        f = list(f)
+        dg = len(g) - 1
+        while len(f) - 1 >= dg and any(f):
+            if f[-1] == 0:
+                f.pop()
+                continue
+            lead = f[-1]
+            shift = len(f) - 1 - dg
+            for i, gc in enumerate(g):
+                f[shift + i] = (f[shift + i] - lead * gc) % p
+            while f and f[-1] == 0:
+                f.pop()
+        return not any(f)
+
+    for d in range(2, deg // 2 + 1):
+        for g in polys_of_degree(d):
+            if divides(g, coeffs):
+                return False
+    return True
+
+
+def lifted_sum_hom(M: RepModule, N: RepModule) -> list[FFMatrix]:
+    """Basis of Hom(M, N) for a direct sum M: each basis map of a part,
+    placed in the columns of that part."""
+    out = []
+    for part, offset in M.sum_parts:
+        for h in (lifted_sum_hom if part.sum_parts is not None else hom_basis)(part, N):
+            lifted = np.zeros((N.dim, M.dim), dtype=_CODE_DTYPE)
+            lifted[:, offset : offset + part.dim] = h.data
+            out.append(FFMatrix._trusted(M.field, lifted))
+    return out
 
 
 def hom_dim(M: RepModule, N: RepModule) -> int:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import alternating_group, cyclic_group, fixture_groups, group_element, symmetric_group
+from corpus import (
+    alternating_group,
+    cyclic_group,
+    fixture_groups,
+    group_element,
+    inertial_embeddings,
+    symmetric_group,
+)
 from ff_oracles import loop_mul_vec
 from tautilt import rings
 from tautilt.algebra import (
@@ -274,6 +281,7 @@ def test_inertial_group_principal_is_whole():
     emb = SubgroupEmbedding(a4, s4)
     inert = inertial_group(principal_block(GroupAlgebra(a4, field)), emb)
     assert inert.order == 24
+    assert inertial_embeddings(inert, emb)[0].order == 24
 
 
 def test_inertial_group_nontrivial():
@@ -288,7 +296,9 @@ def test_inertial_group_nontrivial():
     inert = inertial_group(omega, emb)
     assert inert.order == 3  # transpositions swap the two nontrivial characters
     # contains the normal subgroup and is closed
-    assert set(inert.sub_in_inertial.element_map) <= set(range(inert.order))
+    group, sub_in_inertial, _ = inertial_embeddings(inert, emb)
+    assert group.order == inert.order
+    assert set(sub_in_inertial.element_map) <= set(range(inert.order))
 
 
 def test_inertial_same_group():
@@ -297,6 +307,7 @@ def test_inertial_same_group():
     emb = SubgroupEmbedding(c2, c2)
     inert = inertial_group(principal_block(GroupAlgebra(c2, field)), emb)
     assert inert.order == 2
+    assert inertial_embeddings(inert, emb)[0].order == 2
 
 
 # -- splitting field heuristic ------------------------------------------------

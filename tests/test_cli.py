@@ -467,6 +467,28 @@ def test_induce_rejects_module_entries_outside_the_field(group_files, capsys, tm
     assert err == f"error: bad module file {mod_file}: generator matrix 0: entry {entry!r} is not a field code in range(4)\n"
 
 
+@pytest.mark.parametrize("command", ["induce", "mackey"])
+@pytest.mark.parametrize("coefficient", [3, -1])
+def test_module_field_modulus_outside_the_prime_field(group_files, capsys, tmp_path, command, coefficient):
+    """A modulus coefficient outside range(p) built a second GF(4), and the
+    module was refused as living over a field other than the session's."""
+    module = {
+        "field": {"p": 2, "m": 2, "modulus": [coefficient, 1, 1]},
+        "group": json.loads(open(group_files["C3"]).read()),
+        "dim": 1,
+        "generator_matrices": [[1]],
+    }
+    mod_file = tmp_path / "mod.json"
+    mod_file.write_text(json.dumps(module))
+    argv = [command, group_files["C3"], group_files["S3"], "--p", "2",
+            "--module", str(mod_file), "--no-cache"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: bad module file {mod_file}: "
+                   f"modulus coefficient {coefficient} is not in range(2)\n")
+
+
 @pytest.mark.parametrize("command", ["blocks", "induce"])
 def test_non_utf8_input_is_invalid_json(group_files, capsys, tmp_path, command):
     """A group or module file that is not UTF-8 ended in a

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ff_oracles import kron
+from ff_oracles import kron, trial_division_irreducible
+from tautilt import polys
 from tautilt.ff import (
     FFError,
     FFMatrix,
@@ -52,6 +53,15 @@ class TestFieldCreate:
     def test_field_interning(self):
         assert gf(2, 2) is gf(2, 2)
 
+    @pytest.mark.parametrize("modulus", [(3, 1, 1), (-1, 1, 1), (1.5, 1, 1)])
+    def test_rejects_modulus_coefficients_outside_the_prime_field(self, modulus):
+        """(3, 1, 1) and (-1, 1, 1) reduce to x^2 + x + 1 and used to build
+        a second GF(4), apart from gf(2, 2), whose field record printed the
+        coefficient as given."""
+        with pytest.raises(FFError, match=rf"modulus coefficient {modulus[0]!r} is not in range\(2\)"):
+            FieldSpec(2, 2, modulus)
+        assert FieldSpec(2, 2, (1, 1, 1)) is gf(2, 2)
+
     def test_field_axioms_random(self):
         # 1000 random triples per field: associativity, distributivity, inverses
         for p, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
@@ -72,6 +82,31 @@ class TestFieldCreate:
         for a in range(4):
             assert F.frobenius(a) == F.mul(a, a)
             assert F.frobenius_inv(F.frobenius(a)) == a
+
+
+def monic_polys(p, deg):
+    """The monic polynomials of degree deg over GF(p), little-endian, in
+    the order of (c_{deg-1}, ..., c_0)."""
+    for code in range(p**deg):
+        yield tuple(code // p**i % p for i in range(deg)) + (1,)
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 6), (5, 6), (7, 4)])
+def test_is_irreducible_matches_trial_division(p, top):
+    """Every monic polynomial of degree 1 .. top over GF(p)."""
+    F = gf(p)
+    for deg in range(1, top + 1):
+        for f in monic_polys(p, deg):
+            assert polys.is_irreducible(F, f) == trial_division_irreducible(f, p), f
+
+
+def test_canonical_modulus_is_the_least_irreducible():
+    """For every table field GF(p^m), m >= 2: the first monic irreducible
+    in the order of (c_{m-1}, ..., c_0), found by trial division."""
+    primes = [n for n in range(2, 65) if all(n % d for d in range(2, n))]
+    for p, m in ((p, m) for p in primes for m in range(2, 13) if p**m <= 4096):
+        least = next(f for f in monic_polys(p, m) if trial_division_irreducible(f, p))
+        assert canonical_modulus(p, m) == least, (p, m)
 
 
 class TestElimination:

@@ -1,6 +1,6 @@
 import pytest
 
-from corpus import corpus_of
+from corpus import corpus_of, inertial_embeddings
 from ff_oracles import hom_dim, pair_from_modules, verify_covering_block_sum
 
 from tautilt import homalg
@@ -168,15 +168,14 @@ def test_induction_transitivity_via_inertial(c3_in_s3):
     alg = pc.sub_algebra
     blocks = alg.blocks()
     omega = [b for b in blocks if not b.is_principal][0]
-    inert = inertial_group(omega, pc.emb)
-    mid_alg_group = inert.group
+    mid_alg_group, sub_in_inertial, into_amb = inertial_embeddings(inertial_group(omega, pc.emb), pc.emb)
     from tautilt.algebra import GroupAlgebra
     from tautilt.modules import ModuleRegistry
 
     mid_alg = GroupAlgebra(mid_alg_group, alg.field)
     ModuleRegistry(mid_alg)
-    low = InductionContext(inert.sub_in_inertial, alg, mid_alg)
-    high = InductionContext(inert.into_amb, mid_alg, pc.amb_algebra, require_normal=False)
+    low = InductionContext(sub_in_inertial, alg, mid_alg)
+    high = InductionContext(into_amb, mid_alg, pc.amb_algebra, require_normal=False)
     for M in corpus_of(pc, max_modules=4):
         two_step = induce(high, induce(low, M))
         one_step = induce(pc.ictx, M)
@@ -276,13 +275,13 @@ def test_l31_projective(a4_in_s4):
 def test_covering_block_sum_principal(c3_in_s3):
     pc = c3_in_s3
     B = principal_block(pc.sub_algebra)
-    inert = inertial_group(B, pc.emb)
+    mid_group, sub_in_inertial, _ = inertial_embeddings(inertial_group(B, pc.emb), pc.emb)
     from tautilt.algebra import GroupAlgebra
     from tautilt.modules import ModuleRegistry
 
-    mid_alg = GroupAlgebra(inert.group, pc.sub_algebra.field)
+    mid_alg = GroupAlgebra(mid_group, pc.sub_algebra.field)
     ModuleRegistry(mid_alg)
-    ctx = InductionContext(inert.sub_in_inertial, pc.sub_algebra, mid_alg)
+    ctx = InductionContext(sub_in_inertial, pc.sub_algebra, mid_alg)
     k = trivial_module(pc.sub_algebra)
     rep = verify_covering_block_sum(ctx, B, k)
     assert rep.passed
@@ -291,13 +290,13 @@ def test_covering_block_sum_principal(c3_in_s3):
 def test_covering_block_sum_zero_module(a4_in_s4):
     pc = a4_in_s4
     B = principal_block(pc.sub_algebra)
-    inert = inertial_group(B, pc.emb)
+    mid_group, sub_in_inertial, _ = inertial_embeddings(inertial_group(B, pc.emb), pc.emb)
     from tautilt.algebra import GroupAlgebra
     from tautilt.modules import ModuleRegistry
 
-    mid_alg = GroupAlgebra(inert.group, pc.sub_algebra.field)
+    mid_alg = GroupAlgebra(mid_group, pc.sub_algebra.field)
     ModuleRegistry(mid_alg)
-    ctx = InductionContext(inert.sub_in_inertial, pc.sub_algebra, mid_alg)
+    ctx = InductionContext(sub_in_inertial, pc.sub_algebra, mid_alg)
     rep = verify_covering_block_sum(ctx, B, zero_module(pc.sub_algebra))
     assert rep.passed
 
@@ -419,10 +418,10 @@ def test_covering_block_sum_a4_in_s4(a4_in_s4):
     from tautilt.algebra import GroupAlgebra, inertial_group
     from tautilt.modules import ModuleRegistry
 
-    inert = inertial_group(B, pc.emb)
-    mid_alg = GroupAlgebra(inert.group, pc.sub_algebra.field)
+    mid_group, sub_in_inertial, _ = inertial_embeddings(inertial_group(B, pc.emb), pc.emb)
+    mid_alg = GroupAlgebra(mid_group, pc.sub_algebra.field)
     ModuleRegistry(mid_alg)
-    ctx = InductionContext(inert.sub_in_inertial, pc.sub_algebra, mid_alg)
+    ctx = InductionContext(sub_in_inertial, pc.sub_algebra, mid_alg)
     rep = verify_covering_block_sum(ctx, B, trivial_module(pc.sub_algebra))
     assert rep.passed
     assert len(rep.clauses) == 1  # one block, whole module inside it

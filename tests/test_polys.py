@@ -1,6 +1,6 @@
 import numpy as np
 
-from ff_oracles import is_irreducible
+from ff_oracles import trial_division_irreducible
 from tautilt import polys
 from tautilt.ff import field_create
 
@@ -55,7 +55,8 @@ def test_factor_reassembles():
                     prod = polys.mul(F, prod, g)
             assert prod == f
             for g, _ in fs:
-                assert is_irreducible(F, g)
+                assert polys.is_irreducible(F, g)
+                assert m > 1 or trial_division_irreducible(g, p)
 
 
 def test_factor_known():
