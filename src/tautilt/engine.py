@@ -15,6 +15,14 @@ mutation at a fixed summand an involution.  That construction sends a
 non-projective summand X to Tr X = D(tau X), so it reads the translates
 that tau-rigidity reads.  The Hasse diagram is cross-checkable against
 the covering relations recomputed from the order.
+
+There are no homs between blocks, so the poset of an algebra of two or
+more blocks is the product of its block posets.  A down mutation of a
+whole-algebra pair runs the exchange on its component in the block of the
+removed summand, and the certificate of a whole-algebra pair combines the
+certificates of its block components (``_certify`` on the whole algebra
+is the tests' oracle).  The registry holds the block of each class in its
+``block_of`` table and each block exchange in its ``exchange`` table.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from .ff import FFMatrix
 from .modules import (
     RepModule,
     block_regular_module,
-    lies_in_block,
     regular_module,
 )
 
@@ -70,10 +77,18 @@ class TiltingContext:
             reg = self.registry
             ids = reg.simple_ids()
             if self.block is not None:
-                ids = [s for s in ids if lies_in_block(reg.module(s), self.block)]
+                ids = [s for s in ids if reg.block_of(s) == self.key]
             return ids, [reg.pim_of_simple(s) for s in ids]
 
         return self.registry.memo("block_classes", self.key, compute)
+
+    def factors(self) -> list[TiltingContext]:
+        """The block contexts whose product this context is: one per block
+        for the whole algebra of two or more blocks, none otherwise."""
+        blocks = self.algebra.blocks()
+        if self.block is not None or len(blocks) < 2:
+            return []
+        return [TiltingContext(self.algebra, b) for b in blocks]
 
     def simple_ids(self) -> list[int]:
         return self._classes()[0]
@@ -206,10 +221,20 @@ def _support_pims(ctx: TiltingContext, m_ids) -> tuple[int, ...]:
 
 
 def certify_support_tau_tilting(pair: STauTiltPair) -> Certificate:
+    """The certificate of a pair, once per context and pair.  Over the
+    product of two or more blocks it combines the certificates of the
+    pair's block components: there are no homs between blocks."""
     ctx = pair.ctx
-    return ctx.registry.memo(
-        "certificate", (ctx.key, pair.key), lambda: _certify(pair)
-    )
+
+    def compute():
+        factors = ctx.factors()
+        if not factors:
+            return _certify(pair)
+        return _product_certificate(
+            pair, [certify_support_tau_tilting(_restrict(pair, b)) for b in factors]
+        )
+
+    return ctx.registry.memo("certificate", (ctx.key, pair.key), compute)
 
 
 def _certify(pair: STauTiltPair) -> Certificate:
@@ -220,9 +245,6 @@ def _certify(pair: STauTiltPair) -> Certificate:
     hom_pm_zero = all(
         reg.hom_dim_ids(q, m) == 0 for q in pair.p_ids for m in m_ids
     )
-    support = _support_pims(ctx, m_ids)
-    n = ctx.n_simples
-    counting_ok = tau_rigid and (len(m_ids) + len(support) == n)
     # approximation criterion (independent of the counting data)
     approx_ok = False
     coker_ids: tuple[int, ...] = ()
@@ -232,11 +254,36 @@ def _certify(pair: STauTiltPair) -> Certificate:
         coker, _ = homalg.cokernel(f, target)
         coker_ids = tuple(sorted(reg.ids_of(coker))) if coker.dim else ()
         approx_ok = set(coker_ids) <= set(m_ids)
-        if approx_ok != counting_ok:
-            raise CriteriaDisagree(
-                f"counting={counting_ok} vs approximation={approx_ok} "
-                f"for {pair!r} (coker classes {coker_ids}, support {support})"
-            )
+    return _certificate(
+        pair, tau_rigid, hom_pm_zero, _support_pims(ctx, m_ids), approx_ok, coker_ids
+    )
+
+
+def _product_certificate(pair: STauTiltPair, certs: list[Certificate]) -> Certificate:
+    """The certificate of a pair from those of its block components: the
+    minimal approximation of the algebra is the sum of the blocks' ones."""
+    tau_rigid = all(c.tau_rigid for c in certs)
+    support = set().union(*(c.support_pims for c in certs))
+    return _certificate(
+        pair,
+        tau_rigid,
+        all(c.hom_pm_zero for c in certs),
+        tuple(q for q in pair.ctx.pim_ids() if q in support),
+        all(c.approx_ok for c in certs),
+        tuple(sorted(i for c in certs for i in c.approx_coker_ids)) if tau_rigid else (),
+    )
+
+
+def _certificate(pair, tau_rigid, hom_pm_zero, support, approx_ok, coker_ids) -> Certificate:
+    """Complete the checks with the counting data, which must agree with
+    the approximation criterion on a tau-rigid pair."""
+    n = pair.ctx.n_simples
+    counting_ok = tau_rigid and (len(pair.m_ids) + len(support) == n)
+    if tau_rigid and approx_ok != counting_ok:
+        raise CriteriaDisagree(
+            f"counting={counting_ok} vs approximation={approx_ok} "
+            f"for {pair!r} (coker classes {coker_ids}, support {support})"
+        )
     return Certificate(
         tau_rigid=tau_rigid,
         hom_pm_zero=hom_pm_zero,
@@ -244,10 +291,18 @@ def _certify(pair: STauTiltPair) -> Certificate:
         counting_ok=counting_ok,
         approx_ok=approx_ok,
         approx_coker_ids=coker_ids,
-        pair_counting_ok=len(m_ids) + len(pair.p_ids) == n,
+        pair_counting_ok=len(pair.m_ids) + len(pair.p_ids) == n,
         p_is_full_support=set(pair.p_ids) == set(support),
         n_simples=n,
     )
+
+
+def _restrict(pair: STauTiltPair, block_ctx: TiltingContext) -> STauTiltPair:
+    """The component of a pair of the whole algebra in one block."""
+    def keep(ids):
+        return tuple(i for i in ids if pair.ctx.registry.block_of(i) == block_ctx.key)
+
+    return STauTiltPair(block_ctx, keep(pair.m_ids), keep(pair.p_ids))
 
 
 # -- the order ---------------------------------------------------------------
@@ -291,7 +346,28 @@ class MutationResult:
 
 def _down_mutation(pair: STauTiltPair, removed: int) -> STauTiltPair | None:
     """The lower completion after removing a module summand, or None when
-    the exchange at this summand goes upward."""
+    the exchange at this summand goes upward.  Over the product of two or
+    more blocks only the block of the removed summand changes: the removed
+    summand has no homs to the other blocks, and their PIMs cannot join
+    the support of a completed pair.  Each exchange is computed once per
+    (block, component, removed summand)."""
+    ctx = pair.ctx
+    factors = ctx.factors()
+    local = _restrict(pair, factors[ctx.registry.block_of(removed)]) if factors else pair
+    key = ctx.registry.memo(
+        "exchange", (local.ctx.key, local.key, removed), lambda: _exchange(local, removed)
+    )
+    if key is None:
+        return None
+    return STauTiltPair(
+        ctx,
+        key[0] + tuple(set(pair.m_ids) - set(local.m_ids)),
+        key[1] + tuple(set(pair.p_ids) - set(local.p_ids)),
+    )
+
+
+def _exchange(pair: STauTiltPair, removed: int) -> tuple | None:
+    """Key of the lower completion of a pair over its context, or None."""
     ctx = pair.ctx
     reg = ctx.registry
     u_ids = tuple(sorted(set(pair.m_ids) - {removed}))
@@ -311,21 +387,15 @@ def _down_mutation(pair: STauTiltPair, removed: int) -> STauTiltPair | None:
             candidates.append(
                 STauTiltPair(ctx, u_ids, tuple(sorted(pair.p_ids + (q,))))
             )
-    winners = []
-    for cand in candidates:
-        if cand.key == pair.key:
-            continue
-        if certify_support_tau_tilting(cand).valid:
-            winners.append(cand)
-    keys = sorted({w.key for w in winners})
-    if not keys:
-        return None
+    keys = sorted({
+        cand.key for cand in candidates
+        if cand.key != pair.key and certify_support_tau_tilting(cand).valid
+    })
     if len(keys) > 1:
         raise EngineError(
             f"multiple certified completions after removing {removed}: {keys}"
         )
-    out = next(w for w in winners if w.key == keys[0])
-    return out
+    return keys[0] if keys else None
 
 
 def _delta_indec(ctx: TiltingContext, idx: int, part: str) -> tuple[str, int]:

@@ -43,7 +43,6 @@ from .modules import (
     direct_sum,
     hom_basis,
     is_isomorphic,
-    lies_in_block,
     zero_module,
 )
 
@@ -336,7 +335,7 @@ def _image_ids(ctx: InductionContext, m_ids, block: Block | None = None) -> list
     ids = sorted(set().union(*(_induced_ids(ctx, i) for i in m_ids)))
     if block is None:
         return ids
-    return [i for i in ids if lies_in_block(ctx.target.registry.module(i), block)]
+    return [i for i in ids if ctx.target.registry.block_of(i) == block.index]
 
 
 def _induced_ids(ctx: InductionContext, idx: int) -> tuple[int, ...]:

@@ -54,6 +54,7 @@ class RepModule:
         self.sum_parts = None  # set by direct_sum: list of (part, offset)
         self._actions = None
         self._registry_id = None
+        self._content = None  # the content key, joined on first use
 
     @property
     def field(self) -> FieldSpec:
@@ -355,8 +356,11 @@ class Decomposition:
 
 
 def _content_key(M: RepModule) -> tuple[int, bytes]:
-    """What a decomposition depends on: the generator matrices."""
-    return (M.dim, b"".join(g.data.tobytes() for g in M.gen_mats))
+    """What a decomposition depends on: the generator matrices.  They are
+    frozen, so the key is joined once per module."""
+    if M._content is None:
+        M._content = (M.dim, b"".join(g.data.tobytes() for g in M.gen_mats))
+    return M._content
 
 
 class ModuleRegistry:
@@ -388,9 +392,11 @@ class ModuleRegistry:
                 "tau_ids",  # id -> ids of the translate's summands
                 "generates",  # (source ids, target id) -> bool
                 "delta",  # (id, part) -> image under the dual-pair map
+                "block_of",  # id -> index of the block the class lies in
                 "block_classes",  # block index -> (simple ids, PIM ids)
                 "block_lambda",  # block index -> the block as a module
                 "certificate",  # (block index, pair key) -> Certificate
+                "exchange",  # (block index, pair key, removed id) -> key of the lower pair or None
                 "twist",  # (group indices, content key) -> registered twist
                 "induced",  # (source content key, coset actions) -> ids of the induction
             )
@@ -554,6 +560,12 @@ class ModuleRegistry:
 
     def rad_end_basis(self, idx: int) -> list[FFMatrix]:
         return self._rad_end(self.entries[idx])
+
+    def block_of(self, idx: int) -> int:
+        """Index of the block of the algebra that the class idx lies in."""
+        return self.memo("block_of", idx, lambda: next(
+            b.index for b in self.algebra.blocks() if lies_in_block(self.entries[idx], b)
+        ))
 
     # ---- semisimple bookkeeping
 
