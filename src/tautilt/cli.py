@@ -12,15 +12,20 @@ directory; --no-cache disables caching.
 The commands read their options from argparse: ``_cached`` turns them
 into the cache directory and key, ``_algebras`` into the field.
 
-Exit codes: 0 success, 2 parse error or unwritable output file, 3 cap
-exceeded or out of memory, 4 embedding not normal, 5 verification failure,
-6 field does not split, 7 decomposition search exhausted, 8 internal
-inconsistency of the engine.
+Exit codes: 0 success, 2 parse error or unwritable output file or
+stdout, 3 cap exceeded or out of memory, 4 embedding not normal, 5
+verification failure, 6 field does not split, 7 decomposition search
+exhausted, 8 internal inconsistency of the engine, 130 interrupted.
+
+``run`` is the process entry (the console script and ``python -m
+tautilt.cli``); ``main`` is the side-effect-free part that tests call in
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -558,5 +563,30 @@ def _failure(exc: Exception) -> tuple[int, str] | None:
     return None
 
 
+def run():
+    """Run ``main`` and exit the process with its code.  Standard output is
+    flushed here, so a closed reader exits 2 with one line, as an
+    unwritable output file does; an interrupt exits 130 (128 + SIGINT).
+    Before the exit, every live object moves to the collector's permanent
+    generation (``gc.freeze``), so the interpreter's teardown does not
+    traverse numpy's, the package's and the registry's objects again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The buffered bytes are flushed once more at shutdown: send them
+        # to the null device, so that flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write stdout", file=sys.stderr)
+        code = EXIT_PARSE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
