@@ -541,24 +541,20 @@ def main(argv=None) -> int:
 
 def _failure(exc: Exception) -> tuple[int, str] | None:
     """The exit code and message of a failure in the numeric modules or of
-    an allocation, or None for any other exception.  The classes are
-    imported here, not at the top: a cache hit raises none of them, and a
-    run that computed has loaded their modules already."""
+    an allocation, or None for any other exception.  A class is matched
+    only if its module has loaded, so a cache hit loads no numeric module."""
     if isinstance(exc, MemoryError):
         return EXIT_CAP, f"out of memory: {exc}" if str(exc) else "out of memory"
-    from .engine import EngineError
-    from .ff import FFError
-    from .rings import DecompositionError, FieldNotSplittingError
-
     failures = (
-        (FFError, EXIT_PARSE, "{}"),
-        (FieldNotSplittingError, EXIT_FIELD,
+        ("ff", "FFError", EXIT_PARSE, "{}"),
+        ("rings", "FieldNotSplittingError", EXIT_FIELD,
          "the field does not split the algebra ({}); try a larger --m"),
-        (DecompositionError, EXIT_DECOMPOSITION, "decomposition failed: {}"),
-        (EngineError, EXIT_ENGINE, "internal inconsistency: {}"),
+        ("rings", "DecompositionError", EXIT_DECOMPOSITION, "decomposition failed: {}"),
+        ("engine", "EngineError", EXIT_ENGINE, "internal inconsistency: {}"),
     )
-    for cls, code, message in failures:
-        if isinstance(exc, cls):
+    for module, name, code, message in failures:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
             return code, message.format(exc)
     return None
 

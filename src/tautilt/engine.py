@@ -112,9 +112,6 @@ class TiltingContext:
         """dim Hom(M_a, tau M_b), summed over the summands of tau M_b."""
         return sum(self.registry.hom_dim_ids(a, t) for t in homalg.tau_ids(self.registry, b))
 
-    def module_of_ids(self, ids) -> RepModule:
-        return self.registry.direct_sum_of_ids(list(ids))
-
     def dims_of(self, ids) -> int:
         return sum(self.registry.module(i).dim for i in ids)
 
@@ -143,7 +140,7 @@ class STauTiltPair:
         return (self.m_ids, self.p_ids)
 
     def module(self) -> RepModule:
-        return self.ctx.module_of_ids(self.m_ids)
+        return self.ctx.registry.direct_sum_of_ids(self.m_ids)
 
     def label(self) -> str:
         reg = self.ctx.registry
@@ -213,6 +210,7 @@ def _ids_tau_rigid(ctx: TiltingContext, ids) -> bool:
 
 
 def _support_pims(ctx: TiltingContext, m_ids) -> tuple[int, ...]:
+    """The PIM classes of ctx, in order, with no maps into the classes m_ids."""
     out = []
     for q in ctx.pim_ids():
         if all(ctx.registry.hom_dim_ids(q, m) == 0 for m in m_ids):
@@ -242,9 +240,8 @@ def _certify(pair: STauTiltPair) -> Certificate:
     reg = ctx.registry
     m_ids = list(pair.m_ids)
     tau_rigid = _ids_tau_rigid(ctx, m_ids)
-    hom_pm_zero = all(
-        reg.hom_dim_ids(q, m) == 0 for q in pair.p_ids for m in m_ids
-    )
+    support = _support_pims(ctx, m_ids)
+    hom_pm_zero = set(pair.p_ids) <= set(support)
     # approximation criterion (independent of the counting data)
     approx_ok = False
     coker_ids: tuple[int, ...] = ()
@@ -254,9 +251,7 @@ def _certify(pair: STauTiltPair) -> Certificate:
         coker, _ = homalg.cokernel(f, target)
         coker_ids = tuple(sorted(reg.ids_of(coker))) if coker.dim else ()
         approx_ok = set(coker_ids) <= set(m_ids)
-    return _certificate(
-        pair, tau_rigid, hom_pm_zero, _support_pims(ctx, m_ids), approx_ok, coker_ids
-    )
+    return _certificate(pair, tau_rigid, hom_pm_zero, support, approx_ok, coker_ids)
 
 
 def _product_certificate(pair: STauTiltPair, certs: list[Certificate]) -> Certificate:
@@ -380,10 +375,8 @@ def _exchange(pair: STauTiltPair, removed: int) -> tuple | None:
             candidates.append(
                 STauTiltPair(ctx, tuple(sorted(u_ids + (y,))), pair.p_ids)
             )
-    for q in ctx.pim_ids():
-        if q in pair.p_ids:
-            continue
-        if all(reg.hom_dim_ids(q, u) == 0 for u in u_ids):
+    for q in _support_pims(ctx, u_ids):
+        if q not in pair.p_ids:
             candidates.append(
                 STauTiltPair(ctx, u_ids, tuple(sorted(pair.p_ids + (q,))))
             )

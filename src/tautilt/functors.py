@@ -16,8 +16,8 @@ twists of a class, the classes of its induction (the ``induced`` table),
 its syzygy with the PIMs of its cover (the ``syzygy`` table) and its
 translate.  T3.2 and T3.3 read the classes of an induced node as the union
 of those of its summands; every side of L3.1 is the direct sum, with
-multiplicity, of such classes.  No induced module, syzygy or translate of
-a whole node is decomposed.
+multiplicity, of such classes; P3.5 restricts one PIM class at a time.  No
+induced module, syzygy, translate or restricted support is decomposed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .groups import SubgroupEmbedding
 from .modules import (
     RepModule,
     _content_key,
-    block_component,
     direct_sum,
     hom_basis,
     is_isomorphic,
@@ -350,6 +349,14 @@ def _induced_ids(ctx: InductionContext, idx: int) -> tuple[int, ...]:
     )
 
 
+def _restricted_hom_dim(ctx: InductionContext, q_ids, m_ids) -> int:
+    """dim Hom(Res P, M) for P and M the sums of the target classes q_ids
+    and of the source classes m_ids, summed over the pairs of classes."""
+    src, tgt = ctx.source.registry, ctx.target.registry
+    restricted = (restrict(ctx, tgt.module(q)) for q in q_ids)
+    return sum(len(hom_basis(res, src.module(m))) for res in restricted for m in m_ids)
+
+
 def verify_main_theorems(
     ctx: InductionContext,
     B: Block,
@@ -373,7 +380,9 @@ def verify_main_theorems(
     Induction commutes with direct sums, so the classes of the induction of
     a node are the union of those of its summands' inductions (T3.2), and
     those of a block component the ones among them that lie in the block
-    (T3.3): no induced module or block component is decomposed whole."""
+    (T3.3): no induced module or block component is decomposed whole.  A
+    class of B has no maps from other blocks, so P3.5 sums
+    dim Hom(Res P_q, M_m) over support PIM classes q and node classes m."""
     source_ctx = poset.ctx
     inert = inertial_group(B, ctx.emb)
     clauses = []
@@ -446,15 +455,8 @@ def verify_main_theorems(
         if src_cert.valid != img.certified:
             descent_ok = False
         supp = certify_support_tau_tilting(img.image).support_pims
-        p_tilde = target_ctx.module_of_ids(list(supp))
-        res_p = restrict(ctx, p_tilde) if p_tilde.dim else zero_module(ctx.source)
-        if res_p.dim:
-            bres, _ = block_component(res_p, B)
-            if bres.dim and any(
-                len(hom_basis(bres, source_ctx.registry.module(m)))
-                for m in img.node.m_ids
-            ):
-                descent_ok = False
+        if _restricted_hom_dim(ctx, supp, img.node.m_ids):
+            descent_ok = False
     clauses.append(
         ClauseResult("descent_matches", descent_ok, {"checked": len(images)})
     )

@@ -1,7 +1,7 @@
-"""Homological operations: radicals, projective covers, syzygies, the AR
-translate, duals and minimal approximations.
+"""Homological operations: radicals, Loewy labels, projective covers,
+syzygies, the AR translate, duals and minimal approximations.
 
-A projective cover is read off the Hom spaces out of the projective
+Labels and covers are read off the Hom spaces out of the projective
 indecomposables.  Group algebras are symmetric, so the translate of a
 non-projective indecomposable is its double syzygy, and its dual-transpose
 is the dual of that; the tests compare them, up to isomorphism, with the
@@ -28,7 +28,7 @@ from .modules import (
 )
 
 
-# -- radical series ------------------------------------------------------------
+# -- radicals and labels ------------------------------------------------------
 
 
 def radical_submodule_basis(M: RepModule) -> FFMatrix:
@@ -45,28 +45,25 @@ def top(M: RepModule) -> tuple[RepModule, FFMatrix]:
     return quotient_module(M, radical_submodule_basis(M))
 
 
-def radical_series(M: RepModule) -> list[RepModule]:
-    """Successive radical layers (semisimple), top first."""
-    layers = []
-    current = M
-    while current.dim > 0:
-        rad_basis = radical_submodule_basis(current)
-        layer, _ = quotient_module(current, rad_basis)
-        layers.append(layer)
-        current, _ = submodule(current, rad_basis)
-    return layers
-
-
 def loewy_label(registry: ModuleRegistry, M: RepModule) -> str:
     """Radical-filtration label: layers joined by '/', simples of one layer
-    joined by ','."""
+    joined by ','.  S occurs dim Hom(P_S, rad^i M) - dim Hom(P_S,
+    rad^(i+1) M) times in layer i (see ``projective_cover``)."""
     if M.dim == 0:
         return "0"
+    sids = registry.simple_ids()
+    pims = [registry.module(p) for p in registry.pim_ids()]
     parts = []
-    for layer in radical_series(M):
-        ids = registry.decompose(layer).part_ids
-        names = sorted(registry.label(i) for i in ids)
-        parts.append(",".join(names))
+    upper, above = M, [len(hom_basis(P, M)) for P in pims]
+    while upper.dim > 0:
+        lower, _ = submodule(upper, radical_submodule_basis(upper))
+        below = [len(hom_basis(P, lower)) for P in pims]
+        drops = [a - b for a, b in zip(above, below)]
+        if sum(d * registry.module(s).dim for s, d in zip(sids, drops)) != upper.dim - lower.dim:
+            raise AssertionError("radical layer is not the sum of its composition factors")
+        names = (registry.label(s) for s, d in zip(sids, drops) for _ in range(d))
+        parts.append(",".join(sorted(names)))
+        upper, above = lower, below
     return "/".join(parts)
 
 

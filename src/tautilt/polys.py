@@ -185,6 +185,20 @@ def squarefree_decomposition(F: FieldSpec, f: Poly) -> list[tuple[Poly, int]]:
     return [(g, m) for m, g in sorted(out.items())]
 
 
+def _frobenius_kernel(F: FieldSpec, f: Poly) -> FFMatrix:
+    """Kernel, as columns, of a -> a^q - a on F[x]/(f): column i of the
+    matrix of a -> a^q is x^(iq) mod f, the i-th power of x^q mod f."""
+    n = degree(f)
+    xq = pow_mod(F, (0, 1), F.q, f)
+    cols = []
+    power = ONE
+    for _ in range(n):
+        cols.append(list(power) + [0] * (n - len(power)))
+        power = mod(F, mul(F, power, xq), f)
+    Q = FFMatrix(F, np.array(cols, dtype=np.int16).T)
+    return (Q - FFMatrix.identity(F, n)).nullspace()
+
+
 def _berlekamp_split(F: FieldSpec, f: Poly) -> list[Poly]:
     """Irreducible factors of a squarefree monic f (deterministic small-q
     Berlekamp: kernel of the Frobenius map, then gcd splits over all field
@@ -193,15 +207,7 @@ def _berlekamp_split(F: FieldSpec, f: Poly) -> list[Poly]:
     if n <= 1:
         return [f]
     q = F.q
-    # matrix of x -> x^q on F_q[x]/(f), columns are x^(iq) mod f
-    cols = []
-    for i in range(n):
-        xi = pow_mod(F, (0,) * (i) + (1,), q, f) if i else ONE
-        col = list(xi) + [0] * (n - len(xi))
-        cols.append(col)
-    Q = FFMatrix(F, np.array(cols, dtype=np.int16).T)
-    QI = Q - FFMatrix.identity(F, n)
-    ker = QI.nullspace()
+    ker = _frobenius_kernel(F, f)
     r = ker.cols  # number of irreducible factors
     if r == 1:
         return [f]
@@ -249,8 +255,9 @@ def factor(F: FieldSpec, f: Poly) -> list[tuple[Poly, int]]:
 
 
 def is_irreducible(F: FieldSpec, f: Poly) -> bool:
-    """Whether the monic f of degree >= 1 is irreducible over F."""
-    return factor(F, f) == [(tuple(f), 1)]
+    """Whether the monic f of degree >= 1 is irreducible over F: squarefree,
+    with a Berlekamp kernel of dimension 1 (one irreducible factor)."""
+    return degree(gcd(F, f, derivative(F, f))) == 0 and _frobenius_kernel(F, f).cols == 1
 
 
 def crt_idempotent_coeffs(F: FieldSpec, f: Poly, part: Poly) -> Poly:

@@ -7,8 +7,8 @@ import functools
 import numpy as np
 
 from tautilt import homalg
-from tautilt.algebra import GroupAlgebra
-from tautilt.ff import FFMatrix
+from tautilt.algebra import GroupAlgebra, splitting_field
+from tautilt.ff import FFMatrix, field_create
 from tautilt.groups import (
     FiniteGroup,
     GroupError,
@@ -149,6 +149,34 @@ def fixture_groups():
         symmetric_group(5),
     ]
     return {g.name: g for g in groups}
+
+
+# The tier-1 fixture posets: name -> (group, p, m, simples, defect-zero
+# blocks), m None for the splitting field.  Over a splitting field the
+# simples are counted by the p-regular conjugacy classes, and the
+# defect-zero blocks by the ordinary characters whose degree has the full
+# p-part of |G|:
+#   A4 (degrees 1,1,1,3), p = 2: classes 1, (123), (132); none of |G|_2 = 4.
+#   S3xC3 (degrees (1,1,2) x (1,1,1)), p = 2: 2 x 3 classes; the three of
+#     degree 2 = |G|_2.
+#   S4 (degrees 1,1,2,3,3), p = 2: classes 1, (123); none of |G|_2 = 8.
+#   S4, p = 3: classes 1, (12), (12)(34), (1234); the two of degree 3.
+#   SL(2,3) (degrees 1,1,1,2,2,2,3), p = 3: classes 1, -1, those of order
+#     4; the one of degree 3.
+POSET_FIXTURES = {
+    "A4 GF(4)": ("A4", 2, 2, 3, 0),
+    "S3xC3 GF(4)": ("S3xC3", 2, 2, 6, 3),
+    "S4 p2": ("S4", 2, None, 2, 0),
+    "S4 p3 m1": ("S4", 3, 1, 4, 2),
+    "SL23 p3 m1": ("SL23", 3, 1, 3, 1),
+}
+
+
+def fixture_algebra(name: str) -> GroupAlgebra:
+    """A new algebra, with a new registry, of one of POSET_FIXTURES."""
+    group_name, p, m, *_ = POSET_FIXTURES[name]
+    group = fixture_groups()[group_name]
+    return GroupAlgebra(group, splitting_field(p, [group]) if m is None else field_create(p, m))
 
 
 def inertial_embeddings(inert, emb: SubgroupEmbedding):

@@ -25,7 +25,12 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   that ``polys.is_irreducible`` replaced (``test_ff.py``);
 * the Hom space of a direct sum lifted from the Hom spaces of its parts,
   which ``modules.hom_basis`` solved in place of the sum
-  (``test_hom_canonical.py``).
+  (``test_hom_canonical.py``);
+* the radical series as quotient modules, and the Loewy label that split
+  each of its layers, which ``homalg.loewy_label`` replaced with Hom
+  counts out of the PIMs; the P3.5 test that restricted the whole support
+  projective and took its block component (``test_composition_counts.py``,
+  ``test_modules.py``, ``test_acceptance.py``).
 
 It also holds the independent constructions that the tests check the
 program against, and that the program itself does not run:
@@ -66,6 +71,7 @@ from tautilt.functors import (
     _iso_clause,
     _twist_clause,
     induce,
+    restrict,
 )
 from tautilt.groups import perm_compose
 from tautilt.modules import (
@@ -861,3 +867,39 @@ def find_splitting_idempotent_products_first(field: FieldSpec, end_basis: list[F
         if polys.degree(mu) == Q.dim:
             raise rings.FieldNotSplittingError("the residue ring is a proper field extension")
     raise rings.DecompositionError("no splitting idempotent found")
+
+
+# -- composition factors by module surgery ----------------------------------------
+
+
+def radical_series(M: RepModule) -> list[RepModule]:
+    """Successive radical layers (semisimple), top first."""
+    layers = []
+    current = M
+    while current.dim > 0:
+        rad_basis = homalg.radical_submodule_basis(current)
+        layer, _ = quotient_module(current, rad_basis)
+        layers.append(layer)
+        current, _ = submodule(current, rad_basis)
+    return layers
+
+
+def split_layer_loewy_label(registry: ModuleRegistry, M: RepModule) -> str:
+    """The Loewy label with every radical layer split by ``decompose``."""
+    if M.dim == 0:
+        return "0"
+    parts = []
+    for layer in radical_series(M):
+        names = sorted(registry.label(i) for i in registry.decompose(layer).part_ids)
+        parts.append(",".join(names))
+    return "/".join(parts)
+
+
+def block_restricted_hom_dim(ctx: InductionContext, B: Block, q_ids, m: int) -> int:
+    """dim Hom(e_B Res P, M_m) for P the sum of the target classes q_ids:
+    the restriction of the whole sum, and its component in the block B."""
+    P = ctx.target.registry.direct_sum_of_ids(list(q_ids))
+    if P.dim == 0:
+        return 0
+    part, _ = block_component(restrict(ctx, P), B)
+    return hom_dim(part, ctx.source.registry.module(m)) if part.dim else 0

@@ -158,6 +158,39 @@ def test_a_closed_reader_exits_2_with_one_line(s3, tmp_path, buffered):
     assert (code, err.read_text()) == (2, "error: cannot write stdout\n")
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_reader_of_a_hit_exits_2_without_numpy(s3, tmp_path, buffered):
+    """A cache hit into a closed pipe: the failed write of the unbuffered
+    case reaches ``cli._failure``, which loads no numeric module to find
+    that it is none of theirs.  An exit handler of the child writes
+    whether numpy is loaded to a file, since stdout is closed."""
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert _child(["blocks", s3, "--p", "2", *cache]).returncode == 0
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    seen, err = tmp_path / "numpy", tmp_path / "stderr"
+    child = textwrap.dedent(
+        f"""
+        import atexit, sys
+        from pathlib import Path
+        from tautilt import cli
+
+        atexit.register(lambda: Path({str(seen)!r}).write_text(str("numpy" in sys.modules)))
+        sys.argv = ["tautilt", "blocks", {s3!r}, "--p", "2", *{cache!r}]
+        cli.run()
+        """
+    )
+    with open(err, "wb") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child], env=env, stdout=subprocess.PIPE, stderr=fh
+        )
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert (code, err.read_text()) == (2, "error: cannot write stdout\n")
+    assert seen.read_text() == "False"
+
+
 def test_an_interrupt_exits_130_with_one_line():
     child = textwrap.dedent(
         """

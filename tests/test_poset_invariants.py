@@ -17,39 +17,16 @@ copy of a poset with one arrow dropped.
 
 import pytest
 
-from corpus import fixture_groups
-from tautilt.algebra import GroupAlgebra, splitting_field
+from corpus import POSET_FIXTURES, fixture_algebra
 from tautilt.engine import TiltingContext, enumerate_poset
-from tautilt.ff import field_create
-
-# name -> (group, p, m, simples, defect-zero blocks), m None for the
-# splitting field.  Over a splitting field the simples are counted by the
-# p-regular conjugacy classes, and the defect-zero blocks by the ordinary
-# characters whose degree has the full p-part of |G|:
-#   A4 (degrees 1,1,1,3), p = 2: classes 1, (123), (132); none of |G|_2 = 4.
-#   S3xC3 (degrees (1,1,2) x (1,1,1)), p = 2: 2 x 3 classes; the three of
-#     degree 2 = |G|_2.
-#   S4 (degrees 1,1,2,3,3), p = 2: classes 1, (123); none of |G|_2 = 8.
-#   S4, p = 3: classes 1, (12), (12)(34), (1234); the two of degree 3.
-#   SL(2,3) (degrees 1,1,1,2,2,2,3), p = 3: classes 1, -1, those of order
-#     4; the one of degree 3.
-FIXTURES = {
-    "A4 GF(4)": ("A4", 2, 2, 3, 0),
-    "S3xC3 GF(4)": ("S3xC3", 2, 2, 6, 3),
-    "S4 p2": ("S4", 2, None, 2, 0),
-    "S4 p3 m1": ("S4", 3, 1, 4, 2),
-    "SL23 p3 m1": ("SL23", 3, 1, 3, 1),
-}
 
 
-@pytest.fixture(scope="module", params=sorted(FIXTURES))
+@pytest.fixture(scope="module", params=sorted(POSET_FIXTURES))
 def fixture(request):
     """(expected simples, expected defect-zero blocks, whole-algebra
     context, its poset, the posets of its defect-zero blocks)."""
-    name, p, m, simples, defect_zero = FIXTURES[request.param]
-    group = fixture_groups()[name]
-    field = splitting_field(p, [group]) if m is None else field_create(p, m)
-    algebra = GroupAlgebra(group, field)
+    *_, simples, defect_zero = POSET_FIXTURES[request.param]
+    algebra = fixture_algebra(request.param)
     ctx = TiltingContext(algebra)
     blocks = []
     for block in algebra.blocks():
