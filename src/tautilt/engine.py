@@ -7,7 +7,9 @@ Certification runs two independent checks and insists they agree:
   its summand classes plus the number of projective classes with no homs
   into M equals the number of simples;
 * approximation: iff the cokernel of a minimal left add(M)-approximation
-  of the (block) regular module lies in add(M).
+  of the (block) regular module lies in add(M).  That module is the sum of
+  dim S copies of each PIM P_S, and approximations are additive, so the
+  cokernel of each P_S is split on its own and counted dim S times.
 
 Enumeration is the downward mutation closure from the top pair; upward
 mutation goes through the order-reversing dual-pair construction, making
@@ -32,20 +34,22 @@ from dataclasses import dataclass, field as dc_field
 from . import homalg
 from .algebra import Block, GroupAlgebra
 from .ff import FFMatrix
-from .modules import (
-    RepModule,
-    block_regular_module,
-    regular_module,
-)
+from .modules import RepModule
 
 
 class EngineError(RuntimeError):
-    pass
+    """An internal inconsistency.  Keyword arguments name what it concerns
+    (a pair key, a removed summand, classes) and are kept as attributes."""
+
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        self.__dict__.update(context)
 
 
 class CriteriaDisagree(EngineError):
     """The counting and approximation criteria returned different verdicts;
-    this signals an engine bug, never a property of the input."""
+    this signals an engine bug, never a property of the input.  It carries
+    the pair_key, the coker_ids and the support."""
 
 
 class MutationDirectionError(EngineError):
@@ -99,14 +103,6 @@ class TiltingContext:
     @property
     def n_simples(self) -> int:
         return len(self.simple_ids())
-
-    def lambda_module(self) -> RepModule:
-        def compute():
-            if self.block is None:
-                return regular_module(self.algebra)
-            return block_regular_module(self.block)
-
-        return self.registry.memo("block_lambda", self.key, compute)
 
     def hom_to_tau_dim(self, a: int, b: int) -> int:
         """dim Hom(M_a, tau M_b), summed over the summands of tau M_b."""
@@ -242,14 +238,19 @@ def _certify(pair: STauTiltPair) -> Certificate:
     tau_rigid = _ids_tau_rigid(ctx, m_ids)
     support = _support_pims(ctx, m_ids)
     hom_pm_zero = set(pair.p_ids) <= set(support)
-    # approximation criterion (independent of the counting data)
+    # approximation criterion (independent of the counting data), one PIM
+    # class at a time: Lambda (the block, or kG) is dim S_q copies of each P_q
     approx_ok = False
     coker_ids: tuple[int, ...] = ()
     if tau_rigid:
-        lam = ctx.lambda_module()
-        f, target, _ = homalg.minimal_left_approximation(lam, m_ids, reg)
-        coker, _ = homalg.cokernel(f, target)
-        coker_ids = tuple(sorted(reg.ids_of(coker))) if coker.dim else ()
+        dims, pims = [reg.module(s).dim for s in ctx.simple_ids()], ctx.pim_ids()
+        if sum(d * reg.module(q).dim for d, q in zip(dims, pims)) != (ctx.block or ctx.algebra).dim:
+            raise AssertionError("dim S copies of each PIM P_S do not add up to the algebra")
+        found = []
+        for d, q in zip(dims, pims):
+            f, target, _ = homalg.minimal_left_approximation(reg.module(q), m_ids, reg)
+            found += reg.ids_of(homalg.cokernel(f, target)[0]) * d
+        coker_ids = tuple(sorted(found))
         approx_ok = set(coker_ids) <= set(m_ids)
     return _certificate(pair, tau_rigid, hom_pm_zero, support, approx_ok, coker_ids)
 
@@ -277,7 +278,8 @@ def _certificate(pair, tau_rigid, hom_pm_zero, support, approx_ok, coker_ids) ->
     if tau_rigid and approx_ok != counting_ok:
         raise CriteriaDisagree(
             f"counting={counting_ok} vs approximation={approx_ok} "
-            f"for {pair!r} (coker classes {coker_ids}, support {support})"
+            f"for {pair!r} (coker classes {coker_ids}, support {support})",
+            pair_key=pair.key, coker_ids=coker_ids, support=support,
         )
     return Certificate(
         tau_rigid=tau_rigid,
@@ -362,32 +364,40 @@ def _down_mutation(pair: STauTiltPair, removed: int) -> STauTiltPair | None:
 
 
 def _exchange(pair: STauTiltPair, removed: int) -> tuple | None:
-    """Key of the lower completion of a pair over its context, or None."""
+    """Key of the lower completion of a pair over its context, or None.
+    By the exchange theorem (Adachi-Iyama-Reiten, Thm 2.30) it exists
+    exactly when the removed X is not in Fac U, U the other summands, and
+    then the cokernel of the approximation of X adds at most one class."""
     ctx = pair.ctx
     reg = ctx.registry
     u_ids = tuple(sorted(set(pair.m_ids) - {removed}))
-    candidates: list[STauTiltPair] = []
     z_mod = reg.module(removed)
     f, target, _ = homalg.minimal_left_approximation(z_mod, list(u_ids), reg)
     coker, _ = homalg.cokernel(f, target)
-    if coker.dim:
-        for y in sorted(set(reg.ids_of(coker)) - set(u_ids)):
-            candidates.append(
-                STauTiltPair(ctx, tuple(sorted(u_ids + (y,))), pair.p_ids)
-            )
-    for q in _support_pims(ctx, u_ids):
-        if q not in pair.p_ids:
-            candidates.append(
-                STauTiltPair(ctx, u_ids, tuple(sorted(pair.p_ids + (q,))))
-            )
+    coker_ids = tuple(sorted(reg.ids_of(coker))) if coker.dim else ()
+    new = sorted(set(coker_ids) - set(u_ids))
+    candidates = [STauTiltPair(ctx, tuple(sorted(u_ids + (y,))), pair.p_ids) for y in new]
+    candidates += [
+        STauTiltPair(ctx, u_ids, tuple(sorted(pair.p_ids + (q,))))
+        for q in _support_pims(ctx, u_ids) if q not in pair.p_ids
+    ]
     keys = sorted({
         cand.key for cand in candidates
         if cand.key != pair.key and certify_support_tau_tilting(cand).valid
     })
+    where = f"after removing {removed} from {pair.key} (coker classes {coker_ids})"
+    fault = None
     if len(keys) > 1:
-        raise EngineError(
-            f"multiple certified completions after removing {removed}: {keys}"
-        )
+        fault = f"multiple certified completions after removing {removed}: {keys}"
+    elif _generates(ctx, u_ids, removed):
+        if keys:
+            fault = f"a summand in Fac of the rest has a lower completion {where}"
+    elif len(new) > 1:
+        fault = f"more than one new class {where}"
+    elif not keys:
+        fault = f"no lower completion of a summand outside Fac of the rest {where}"
+    if fault:
+        raise EngineError(fault, pair_key=pair.key, removed=removed, coker_ids=coker_ids)
     return keys[0] if keys else None
 
 

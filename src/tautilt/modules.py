@@ -210,21 +210,6 @@ def quotient_module(M: RepModule, sub_basis: FFMatrix) -> tuple[RepModule, FFMat
     return quot, proj
 
 
-def block_component(M: RepModule, block: Block) -> tuple[RepModule, FFMatrix]:
-    """The direct summand e_B * M with its inclusion."""
-    e = M.apply_algebra_vector(block.idempotent)
-    return submodule(M, e.column_space_basis())
-
-
-def block_regular_module(block: Block) -> RepModule:
-    """The block B as a left module over kG (a summand of the regular
-    module, so the fast hom path applies)."""
-    reg = regular_module(block.parent)
-    mod, inc = block_component(reg, block)
-    mod.lambda_inclusion = inc
-    return mod.relabel(f"B{block.index}")
-
-
 def lies_in_block(M: RepModule, block: Block) -> bool:
     if M.is_zero():
         return True
@@ -394,7 +379,6 @@ class ModuleRegistry:
                 "delta",  # (id, part) -> image under the dual-pair map
                 "block_of",  # id -> index of the block the class lies in
                 "block_classes",  # block index -> (simple ids, PIM ids)
-                "block_lambda",  # block index -> the block as a module
                 "certificate",  # (block index, pair key) -> Certificate
                 "exchange",  # (block index, pair key, removed id) -> key of the lower pair or None
                 "twist",  # (group indices, content key) -> registered twist
@@ -578,10 +562,14 @@ class ModuleRegistry:
         reg_mod = regular_module(self.algebra)
         pim_dec = self.decompose(reg_mod)
         # summands of the regular module keep their inclusion: the free-hom
-        # shortcut applies to them
-        for part, inc in pim_dec.parts:
+        # shortcut applies to them.  A class registered before the bootstrap
+        # gets the inclusion of its part composed with an isomorphism onto it.
+        for (part, inc), pid in zip(pim_dec.parts, pim_dec.part_ids):
             if part.lambda_inclusion is None:
                 part.lambda_inclusion = inc
+            entry = self.entries[pid]
+            if entry.lambda_inclusion is None:
+                entry.lambda_inclusion = inc @ _indec_iso_witness(entry, part)
         top_mod, _ = homalg.top(reg_mod)
         simple_ids = sorted(set(self.decompose(top_mod).part_ids), key=self._simple_sort_key)
         # match each PIM to its top: the one simple it maps onto

@@ -1,13 +1,13 @@
 """Deterministic groups, module corpus and random base changes shared by
 the suites: the standard permutation groups, direct products, and the
-submodule and radical builders the suites make test modules with."""
+submodule, radical and block builders the suites make test modules with."""
 
 import functools
 
 import numpy as np
 
 from tautilt import homalg
-from tautilt.algebra import GroupAlgebra, splitting_field
+from tautilt.algebra import Block, GroupAlgebra, splitting_field
 from tautilt.ff import FFMatrix, field_create
 from tautilt.groups import (
     FiniteGroup,
@@ -101,6 +101,21 @@ def spanned_submodule(M: RepModule, vectors: FFMatrix) -> tuple[RepModule, FFMat
 def radical(M: RepModule) -> tuple[RepModule, FFMatrix]:
     """(rad M, inclusion)."""
     return submodule(M, homalg.radical_submodule_basis(M))
+
+
+def block_component(M: RepModule, block: Block) -> tuple[RepModule, FFMatrix]:
+    """The direct summand e_B * M with its inclusion."""
+    e = M.apply_algebra_vector(block.idempotent)
+    return submodule(M, e.column_space_basis())
+
+
+def block_regular_module(block: Block) -> RepModule:
+    """The block B as a left module over kG (a summand of the regular
+    module, so the fast hom path applies)."""
+    reg = regular_module(block.parent)
+    mod, inc = block_component(reg, block)
+    mod.lambda_inclusion = inc
+    return mod.relabel(f"B{block.index}")
 
 
 def sl23():

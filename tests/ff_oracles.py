@@ -30,7 +30,10 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   each of its layers, which ``homalg.loewy_label`` replaced with Hom
   counts out of the PIMs; the P3.5 test that restricted the whole support
   projective and took its block component (``test_composition_counts.py``,
-  ``test_modules.py``, ``test_acceptance.py``).
+  ``test_modules.py``, ``test_acceptance.py``);
+* the approximation criterion on the whole (block) regular module, one
+  cokernel split into classes, which the engine reads PIM by PIM
+  (``test_approximation_criterion.py``).
 
 It also holds the independent constructions that the tests check the
 program against, and that the program itself does not run:
@@ -59,6 +62,7 @@ program against, and that the program itself does not run:
 
 import numpy as np
 
+from corpus import block_component, block_regular_module
 from tautilt import homalg, polys, rings
 from tautilt.algebra import Block, covers
 from tautilt.engine import STauTiltPair, TiltingContext, certify_support_tau_tilting
@@ -78,7 +82,6 @@ from tautilt.modules import (
     ModuleRegistry,
     RepModule,
     _indec_iso_witness,
-    block_component,
     direct_sum,
     hom_basis,
     lies_in_block,
@@ -903,3 +906,16 @@ def block_restricted_hom_dim(ctx: InductionContext, B: Block, q_ids, m: int) -> 
         return 0
     part, _ = block_component(restrict(ctx, P), B)
     return hom_dim(part, ctx.source.registry.module(m)) if part.dim else 0
+
+
+def whole_lambda_approximation(pair: STauTiltPair) -> tuple[bool, tuple[int, ...]]:
+    """(approx_ok, cokernel classes) of a tau-rigid pair: the classes of
+    the cokernel of the minimal left add(M)-approximation of the whole
+    regular module of the pair's context (the algebra, or its block), and
+    whether they all lie in add(M)."""
+    ctx, reg = pair.ctx, pair.ctx.registry
+    lam = regular_module(ctx.algebra) if ctx.block is None else block_regular_module(ctx.block)
+    f, target, _ = homalg.minimal_left_approximation(lam, list(pair.m_ids), reg)
+    coker, _ = homalg.cokernel(f, target)
+    coker_ids = tuple(sorted(reg.ids_of(coker))) if coker.dim else ()
+    return set(coker_ids) <= set(pair.m_ids), coker_ids

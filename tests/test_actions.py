@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import fixture_groups, group_element, random_invertible
+from corpus import block_regular_module, fixture_groups, group_element, random_invertible
 from ff_oracles import column_regular_hom, support_combine_action, word_actions
 from tautilt.algebra import GroupAlgebra
 from tautilt.ff import FFMatrix, block_diag, field_create
@@ -17,7 +17,6 @@ from tautilt.modules import (
     ModuleError,
     RepModule,
     _hom_from_regular_summand,
-    block_regular_module,
     regular_module,
 )
 from tautilt.rings import FieldNotSplittingError

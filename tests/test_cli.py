@@ -214,6 +214,29 @@ def test_stt_failure_exit_codes(group_files, capsys, monkeypatch, exc, code):
     assert str(exc) in err
 
 
+def test_certificate_failures_exit_8_with_one_line(group_files, capsys, monkeypatch):
+    """A disagreement of the two criteria, and an exchange against the
+    exchange theorem, each exit 8 with one line naming the pair."""
+    real_certify = engine._certify
+
+    def flipped(pair):
+        c = real_certify(pair)
+        return engine._certificate(
+            pair, c.tau_rigid, c.hom_pm_zero, c.support_pims, not c.approx_ok, c.approx_coker_ids
+        )
+
+    monkeypatch.setattr(engine, "_certify", flipped)
+    got = run(capsys, ["stt", group_files["C2"], "--p", "2", "--no-cache"])
+    assert got == (8, "", "error: internal inconsistency: counting=True vs approximation=False "
+                          "for Pair(P1) (coker classes (), support ())\n")
+    monkeypatch.setattr(engine, "_certify", real_certify)
+    real_generates = engine._generates
+    monkeypatch.setattr(engine, "_generates", lambda *args: not real_generates(*args))
+    got = run(capsys, ["stt", group_files["S3"], "--p", "2", "--no-cache"])
+    assert got == (8, "", "error: internal inconsistency: a summand in Fac of the rest has a "
+                          "lower completion after removing 0 from ((0,), ()) (coker classes ())\n")
+
+
 def test_out_of_memory_is_the_cap_code():
     assert _failure(MemoryError("Unable to allocate 8 MiB")) == (3, "out of memory: Unable to allocate 8 MiB")
     assert _failure(MemoryError()) == (3, "out of memory")

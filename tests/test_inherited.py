@@ -27,7 +27,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EmbeddedPair
-from corpus import alternating_group, fixture_groups, in_random_basis, symmetric_group
+from corpus import (
+    alternating_group,
+    block_component,
+    fixture_groups,
+    in_random_basis,
+    symmetric_group,
+)
 from ff_oracles import find_splitting_idempotent_products_first
 from tautilt import rings
 from tautilt.algebra import GroupAlgebra, covers, inertial_group
@@ -37,7 +43,6 @@ from tautilt.functors import _image_ids, induce, is_invariant, twist, verify_mai
 from tautilt.modules import (
     ModuleRegistry,
     RepModule,
-    block_component,
     end_basis,
     regular_module,
 )
