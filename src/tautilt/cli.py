@@ -355,7 +355,7 @@ def _verify_outputs(args, sub_in: dict, amb_in: dict, wanted: set) -> dict:
             poset = enumerate_poset(ctx, node_cap=args.node_cap)
         except PosetCapExceeded as e:
             raise CliError(str(e), EXIT_CAP) from e
-        main = verify_main_theorems(ictx, block, poset, amb_ctx, amb_poset)
+        main = verify_main_theorems(ictx, poset, amb_poset)
         entry = {
             "block": block.index,
             "block_dim": block.dim,

@@ -14,10 +14,16 @@ Induction, the syzygy and the translate are additive, so the checks are
 decided class by class from facts the registries hold per class: the
 twists of a class, the classes of its induction (the ``induced`` table),
 its syzygy with the PIMs of its cover (the ``syzygy`` table) and its
-translate.  T3.2 and T3.3 read the classes of an induced node as the union
-of those of its summands; every side of L3.1 is the direct sum, with
-multiplicity, of such classes; P3.5 restricts one PIM class at a time.  No
-induced module, syzygy, translate or restricted support is decomposed.
+translate.  T3.2 reads the classes of an induced node as the union of
+those of its summands, and the support of the induced pair from the engine
+(``engine._support_pims``); T3.3 certifies the components of that pair in
+the covering blocks (``engine._restrict``), from which the T3.2
+certificate of a pair over several blocks is combined; every side of L3.1
+is the direct sum, with multiplicity, of such classes; P3.5 restricts one
+support PIM class of the T3.2 certificate at a time.  No induced module,
+syzygy, translate or restricted support is decomposed.  The block B and
+the overgroup's context are those of the posets that the pipeline is
+given.
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import homalg
-from .algebra import Block, GroupAlgebra, InertialGroup, covers, inertial_group
+from .algebra import GroupAlgebra, InertialGroup, covers, inertial_group
 from .engine import (
     STauTiltPair,
     TiltingContext,
+    _restrict,
+    _support_pims,
     certify_support_tau_tilting,
     geq,
 )
@@ -313,28 +321,10 @@ def _l31_sides(ctx: InductionContext, M: RepModule):
     )
 
 
-@dataclass
-class InvariantNodeImage:
-    node: STauTiltPair
-    image: STauTiltPair
-    certified: bool
-
-
-def _certified_ids_pair(ctx: TiltingContext, ids) -> STauTiltPair:
-    """The pair of the classes ``ids`` over ctx, with the support its
-    certificate finds."""
-    pair = STauTiltPair(ctx, tuple(ids))
-    return STauTiltPair(ctx, pair.m_ids, certify_support_tau_tilting(pair).support_pims)
-
-
-def _image_ids(ctx: InductionContext, m_ids, block: Block | None = None) -> list[int]:
+def _image_ids(ctx: InductionContext, m_ids) -> list[int]:
     """Sorted target ids of the classes of the induction of the sum of the
-    source classes m_ids, or of its component in ``block``: the union of
-    the classes' induced ids, or those of them that lie in the block."""
-    ids = sorted(set().union(*(_induced_ids(ctx, i) for i in m_ids)))
-    if block is None:
-        return ids
-    return [i for i in ids if ctx.target.registry.block_of(i) == block.index]
+    source classes m_ids: the union of the classes' induced ids."""
+    return sorted(set().union(*(_induced_ids(ctx, i) for i in m_ids)))
 
 
 def _induced_ids(ctx: InductionContext, idx: int) -> tuple[int, ...]:
@@ -357,33 +347,39 @@ def _restricted_hom_dim(ctx: InductionContext, q_ids, m_ids) -> int:
     return sum(len(hom_basis(res, src.module(m))) for res in restricted for m in m_ids)
 
 
-def verify_main_theorems(
-    ctx: InductionContext,
-    B: Block,
-    poset,
-    target_ctx: TiltingContext,
-    target_poset,
-) -> TheoremReport:
-    """The full pipeline over an enumerated poset of the block B:
+def verify_main_theorems(ctx: InductionContext, poset, target_poset) -> TheoremReport:
+    """The full pipeline over an enumerated poset of a block B of the
+    subgroup's algebra, B the poset's block or the only block of its
+    algebra, into ``target_poset``, a poset of the overgroup's algebra:
 
-    (i) filter nodes by inertial invariance; (ii) certify the induction of
-    every invariant node over the overgroup (T3.2) and its block components
-    over every covering block (T3.3); (iii) check order preservation and
+    (i) filter nodes by inertial invariance; (ii) certify the induced pair
+    of every invariant node over the overgroup (T3.2) and its components in
+    the blocks that cover B (T3.3); (iii) check order preservation and
     reflection on all invariant pairs (C3.4, T3.6); (iv) re-derive each
     node's certification from its induction through the restriction side
     (P3.5); (v) report injectivity of the induced map and its
-    surjectivity onto ``target_poset``, the poset of ``target_ctx``.
+    surjectivity onto ``target_poset``.
 
     The report also carries the block's ``inertial`` group and its
     ``invariant_nodes``.
 
     Induction commutes with direct sums, so the classes of the induction of
-    a node are the union of those of its summands' inductions (T3.2), and
-    those of a block component the ones among them that lie in the block
-    (T3.3): no induced module or block component is decomposed whole.  A
-    class of B has no maps from other blocks, so P3.5 sums
-    dim Hom(Res P_q, M_m) over support PIM classes q and node classes m."""
-    source_ctx = poset.ctx
+    a node are the union of those of its summands' inductions, and the
+    induced pair's support is the PIM classes with no maps into them: no
+    induced module is decomposed whole.  T3.3 certifies
+    ``engine._restrict`` of the induced pair to each covering block, the
+    components that the T3.2 certificate of a pair over several blocks
+    combines.  A class of B has no maps from other blocks, so P3.5 sums
+    dim Hom(Res P_q, M_m) over the support PIM classes q of the T3.2
+    certificate and the node's classes m."""
+    source_ctx, target = poset.ctx, target_poset.ctx
+    blocks = source_ctx.algebra.blocks()
+    if source_ctx.block is None and len(blocks) > 1:
+        raise FunctorError(
+            f"the poset of {source_ctx.describe()} spans {len(blocks)} blocks; "
+            "verify the poset of one block"
+        )
+    B = blocks[0] if source_ctx.block is None else source_ctx.block
     inert = inertial_group(B, ctx.emb)
     clauses = []
     invariant_nodes = []
@@ -400,25 +396,24 @@ def verify_main_theorems(
         )
     )
     covering = [
-        bt for bt in ctx.target.blocks() if covers(bt, B, ctx.emb)
+        TiltingContext(target.algebra, bt)
+        for bt in target.algebra.blocks() if covers(bt, B, ctx.emb)
     ]
-    images: list[InvariantNodeImage] = []
-    all_certified = True
+    # per invariant node: the node, its induced pair and that pair's
+    # certificate; T3.3 is checked node by node after T3.2
+    images = []
     block_certified_all = True
     for node in invariant_nodes:
-        img_pair = _certified_ids_pair(target_ctx, _image_ids(ctx, node.m_ids))
-        cert = certify_support_tau_tilting(img_pair)
-        all_certified = all_certified and cert.valid
-        for bt in covering:
-            bids = _image_ids(ctx, node.m_ids, bt)
-            bpair = _certified_ids_pair(TiltingContext(target_ctx.algebra, bt), bids)
-            bcert = certify_support_tau_tilting(bpair)
+        ids = _image_ids(ctx, node.m_ids)
+        image = STauTiltPair(target, ids, _support_pims(target, ids))
+        images.append((node, image, certify_support_tau_tilting(image)))
+        for bctx in covering:
+            bcert = certify_support_tau_tilting(_restrict(image, bctx))
             block_certified_all = block_certified_all and bcert.valid
-        images.append(InvariantNodeImage(node, img_pair, cert.valid))
     clauses.append(
         ClauseResult(
             "inductions_certify",
-            all_certified,
+            all(cert.valid for _, _, cert in images),
             {"checked": len(images)},
         )
     )
@@ -426,43 +421,35 @@ def verify_main_theorems(
         ClauseResult(
             "covering_block_components_certify",
             block_certified_all,
-            {"covering_blocks": [bt.index for bt in covering]},
+            {"covering_blocks": [bctx.key for bctx in covering]},
         )
     )
     # order preservation and reflection
     order_ok = True
-    pairs_checked = 0
-    for i in range(len(images)):
-        for j in range(len(images)):
-            if i == j:
-                continue
-            src_ge = geq(images[i].node, images[j].node)
-            dst_ge = geq(images[i].image, images[j].image)
-            if src_ge != dst_ge:
+    for i, (x, x_image, _) in enumerate(images):
+        for j, (y, y_image, _) in enumerate(images):
+            if i != j and geq(x, y) != geq(x_image, y_image):
                 order_ok = False
-            pairs_checked += 1
     clauses.append(
         ClauseResult(
             "order_preserved_and_reflected",
             order_ok,
-            {"ordered_pairs_checked": pairs_checked},
+            {"ordered_pairs_checked": len(images) * (len(images) - 1)},
         )
     )
     # descent: the subgroup-side certification re-derived from the image
     descent_ok = True
-    for img in images:
-        src_cert = certify_support_tau_tilting(img.node)
-        if src_cert.valid != img.certified:
+    for node, _, cert in images:
+        if certify_support_tau_tilting(node).valid != cert.valid:
             descent_ok = False
-        supp = certify_support_tau_tilting(img.image).support_pims
-        if _restricted_hom_dim(ctx, supp, img.node.m_ids):
+        if _restricted_hom_dim(ctx, cert.support_pims, node.m_ids):
             descent_ok = False
     clauses.append(
         ClauseResult("descent_matches", descent_ok, {"checked": len(images)})
     )
     # injectivity is forced by order reflection; surjectivity onto the
     # enumerated target poset is a reported flag, not a requirement
-    keys = [img.image.key for img in images]
+    keys = [image.key for _, image, _ in images]
     injective = len(set(keys)) == len(keys)
     clauses.append(ClauseResult("induced_map_injective", injective, {}))
     target_keys = {p.key for p in target_poset.nodes}
@@ -476,7 +463,7 @@ def verify_main_theorems(
         "T3.2+T3.3+C3.4+P3.5+T3.6",
         {
             "source": source_ctx.describe(),
-            "target": target_ctx.describe(),
+            "target": target.describe(),
             "inertial_order": inert.order,
         },
         clauses,

@@ -118,17 +118,32 @@ def block_regular_module(block: Block) -> RepModule:
     return mod.relabel(f"B{block.index}")
 
 
+def _on_gf3_vectors(M) -> list[int]:
+    """The permutation of a 2 x 2 matrix over GF(3) on the 8 nonzero
+    vectors of GF(3)^2, in lexicographic order."""
+    vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    return [
+        vecs.index(((M[0][0] * x + M[0][1] * y) % 3, (M[1][0] * x + M[1][1] * y) % 3))
+        for x, y in vecs
+    ]
+
+
 def sl23():
     """SL(2,3) acting on the 8 nonzero vectors of GF(3)^2."""
-    vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    gens = [_on_gf3_vectors([[1, 1], [0, 1]]), _on_gf3_vectors([[0, 2], [1, 0]])]
+    return group_from_generators(gens, name="SL23")
 
-    def perm(M):
-        return [
-            vecs.index(((M[0][0] * x + M[0][1] * y) % 3, (M[1][0] * x + M[1][1] * y) % 3))
-            for x, y in vecs
-        ]
 
-    return group_from_generators([perm([[1, 1], [0, 1]]), perm([[0, 2], [1, 0]])], name="SL23")
+def quaternion_group():
+    """Q8, the normal Sylow 2-subgroup of ``sl23()``, on the same points."""
+    gens = [_on_gf3_vectors([[0, 2], [1, 0]]), _on_gf3_vectors([[1, 1], [1, 2]])]
+    return group_from_generators(gens, name="Q8")
+
+
+def klein_four_group():
+    """V4 = <(12)(34), (13)(24)>, normal in A4 and S4."""
+    gens = [perm_from_cycles([[1, 2], [3, 4]], 4), perm_from_cycles([[1, 3], [2, 4]], 4)]
+    return group_from_generators(gens, name="V4")
 
 
 def random_invertible(field, rng, n):

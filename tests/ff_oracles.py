@@ -53,6 +53,9 @@ program against, and that the program itself does not run:
   classes read off the decomposition of the whole module, against which
   the class-level ids of ``verify_main_theorems`` are checked
   (``test_engine.py``, ``test_acceptance.py``, ``test_inherited.py``);
+* the block component of an induced pair by the route T3.3 took before
+  it read ``engine._restrict``: the induced classes filtered by their
+  block, with the support read off a certificate (``test_inherited.py``);
 * the translate of a whole module, split into its projective-free part
   and then class by class (``test_modules.py``, ``test_acceptance.py``),
   and the L3.1 check run on whole modules, which splits the syzygy, the
@@ -72,6 +75,7 @@ from tautilt.functors import (
     FunctorError,
     InductionContext,
     TheoremReport,
+    _image_ids,
     _iso_clause,
     _twist_clause,
     induce,
@@ -824,6 +828,17 @@ def certified_pair(ctx: TiltingContext, M: RepModule) -> STauTiltPair:
     classes of M from the decomposition of the whole module."""
     pair = pair_from_modules(ctx, M)
     return STauTiltPair(ctx, pair.m_ids, certify_support_tau_tilting(pair).support_pims)
+
+
+def filtered_block_pair(ictx: InductionContext, m_ids, block_ctx: TiltingContext) -> STauTiltPair:
+    """The component in a block of the pair induced from the source classes
+    m_ids, by the route T3.3 took before it read ``engine._restrict``: the
+    induced classes that ``block_of`` puts in the block, with the support
+    that the certificate of their pair with no projective part finds."""
+    reg = ictx.target.registry
+    ids = [i for i in _image_ids(ictx, m_ids) if reg.block_of(i) == block_ctx.block.index]
+    pair = STauTiltPair(block_ctx, tuple(ids))
+    return STauTiltPair(block_ctx, pair.m_ids, certify_support_tau_tilting(pair).support_pims)
 
 
 # -- splitting search ------------------------------------------------------------

@@ -19,7 +19,7 @@ from corpus import (
 )
 from ff_oracles import certified_pair, nakayama_tau, pair_from_modules, radical_series, tau
 from tautilt import homalg
-from tautilt.algebra import GroupAlgebra, principal_block
+from tautilt.algebra import GroupAlgebra
 from tautilt.engine import (
     TiltingContext,
     certify_support_tau_tilting,
@@ -138,8 +138,7 @@ def test_acceptance_3_invariant_bijection(a4_in_s4, a4_poset, s4_poset):
     """Exactly 8 invariant nodes, mapped bijectively and order-isomorphically
     onto sTau-tilt kS4 (both order directions on all 28 pairs)."""
     pc = a4_in_s4
-    B = principal_block(pc.sub_algebra)
-    rep = verify_main_theorems(pc.ictx, B, a4_poset, pc.amb_tctx, s4_poset)
+    rep = verify_main_theorems(pc.ictx, a4_poset, s4_poset)
     clauses = {c.name: c for c in rep.clauses}
     n_inv = clauses["invariant_nodes_found"].details["count"]
     ok = n_inv == 8

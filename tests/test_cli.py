@@ -29,6 +29,11 @@ def group_files(tmp_path):
         "C3": write("C3", 3, [[[1, 2, 3]]]),
         "C2deg3": write("C2deg3", 3, [[[1, 2]]]),
         "C2": write("C2", 2, [[[1, 2]]]),
+        "V4": write("V4", 4, [[[1, 2], [3, 4]], [[1, 3], [2, 4]]]),
+        # SL(2,3) and its normal Q8 on the 8 nonzero vectors of GF(3)^2,
+        # as image lists (corpus.sl23 and corpus.quaternion_group)
+        "SL23": write("SL23", 8, [[4, 8, 3, 7, 2, 6, 1, 5], [6, 3, 1, 7, 4, 2, 8, 5]]),
+        "Q8": write("Q8", 8, [[6, 3, 1, 7, 4, 2, 8, 5], [5, 7, 4, 6, 2, 8, 1, 3]]),
         "bad": str((tmp_path / "bad.json").resolve()),
         "tmp": tmp_path,
     }
@@ -347,6 +352,40 @@ def test_verify_c3_in_s3_p2_twists_by_inertial_group(group_files, capsys):
         assert block["L3.1"]["passed"]
         for report in block["L3.1"]["reports"]:
             assert all(c["passed"] for c in report["clauses"])
+
+
+# Per block of the subgroup: (inertial order, poset nodes, poset edges,
+# invariant nodes, image size, target size).  The algebras of V4 and Q8 at
+# p = 3 are semisimple, so each block has the two pairs of one simple.
+VERIFY_BLOCKS = {
+    ("V4", "A4", "3"): [(12, 2, 1, 2, 2, 4)] + [(4, 2, 1, 2, 2, 4)] * 3,
+    ("V4", "S4", "3"): [(24, 2, 1, 2, 2, 24)] + [(8, 2, 1, 2, 2, 24)] * 3,
+    ("Q8", "SL23", "3"): [(24, 2, 1, 2, 2, 8)] + [(8, 2, 1, 2, 2, 8)] * 3 + [(24, 2, 1, 2, 2, 8)],
+    ("Q8", "SL23", "2"): [(24, 2, 1, 2, 2, 32)],
+}
+
+
+@pytest.mark.parametrize("sub,amb,p", list(VERIFY_BLOCKS))
+def test_verify_blocks_of_normal_subgroups(group_files, capsys, sub, amb, p):
+    code, out, _ = run(
+        capsys, ["verify", group_files[sub], group_files[amb], "--p", p, "--no-cache"]
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"]
+    got = []
+    for block in data["blocks"]:
+        clauses = {c["name"]: c["details"] for c in block["pipeline"]["clauses"]}
+        image = clauses["induced_map_image"]
+        got.append((
+            block["inertial_order"],
+            block["poset"]["nodes"],
+            block["poset"]["edges"],
+            clauses["invariant_nodes_found"]["count"],
+            image["image_size"],
+            image["target_size"],
+        ))
+    assert got == VERIFY_BLOCKS[(sub, amb, p)]
 
 
 def test_verify_same_group(group_files, capsys):

@@ -1,11 +1,12 @@
 import pytest
 
-from corpus import corpus_of, inertial_embeddings
+from conftest import EmbeddedPair
+from corpus import corpus_of, inertial_embeddings, symmetric_group
 from ff_oracles import hom_dim, pair_from_modules, verify_covering_block_sum
 
 from tautilt import homalg
 from tautilt.algebra import inertial_group, principal_block
-from tautilt.engine import certify_support_tau_tilting
+from tautilt.engine import certify_support_tau_tilting, enumerate_poset
 from tautilt.functors import (
     FunctorError,
     InductionContext,
@@ -14,6 +15,7 @@ from tautilt.functors import (
     mackey_decomposition,
     restrict,
     twist,
+    verify_main_theorems,
     verify_syzygy_commutation,
 )
 from tautilt.groups import SubgroupEmbedding
@@ -234,6 +236,16 @@ def test_invariant_node_count_a4(a4_in_s4, a4_poset):
         1 for n in a4_poset.nodes if is_invariant(pc.ictx, n.module())[0]
     )
     assert count == 8
+
+
+def test_main_theorems_need_the_poset_of_one_block():
+    """The whole-algebra poset of kS4 at p = 3, an algebra of three blocks,
+    names no block B: one line says so."""
+    pc = EmbeddedPair(symmetric_group(4), symmetric_group(4), 3)
+    poset = enumerate_poset(pc.sub_tctx)
+    with pytest.raises(FunctorError) as err:
+        verify_main_theorems(pc.ictx, poset, enumerate_poset(pc.amb_tctx))
+    assert "3 blocks" in str(err.value) and "\n" not in str(err.value)
 
 
 # -- syzygy/translate commutation (L3.1) -------------------------------------------------

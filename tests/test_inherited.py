@@ -10,10 +10,13 @@ skips, on modules in random bases.
   given, or raises the same error.
 * ``verify_main_theorems`` decides invariance along the summands of a node
   and reads the classes of its induction class by class; on every node of
-  A4 in S4 (p = 2 and 3) and C3 in S3, its invariant nodes and those
-  classes match ``is_invariant`` and the decomposition of the whole
-  induced module and of its block components, for the node module in a
-  random basis.
+  A4 in S4 (p = 2 and 3), C3 in S3, V4 in A4 and in S4 (p = 3) and Q8 in
+  SL23 (p = 2 and 3), its invariant nodes and those classes match
+  ``is_invariant`` and the decomposition of the whole induced module, and
+  the induced pair's components in the covering blocks match the block
+  components of that module and, on the invariant nodes, the pairs and
+  verdicts of the earlier T3.3 route, for the node module in a random
+  basis.
 
 The first two run on the regular modules of C3, S3, A4, S4, SL23 and S3xC3
 over GF(2), GF(3) and GF(4).  Over GF(2) some of these algebras do not
@@ -32,12 +35,23 @@ from corpus import (
     block_component,
     fixture_groups,
     in_random_basis,
+    klein_four_group,
+    quaternion_group,
+    sl23,
     symmetric_group,
 )
-from ff_oracles import find_splitting_idempotent_products_first
+from ff_oracles import filtered_block_pair, find_splitting_idempotent_products_first
 from tautilt import rings
 from tautilt.algebra import GroupAlgebra, covers, inertial_group
-from tautilt.engine import TiltingContext, enumerate_poset
+from tautilt.engine import (
+    STauTiltPair,
+    TiltingContext,
+    _certify,
+    _restrict,
+    _support_pims,
+    certify_support_tau_tilting,
+    enumerate_poset,
+)
 from tautilt.ff import field_create
 from tautilt.functors import _image_ids, induce, is_invariant, twist, verify_main_theorems
 from tautilt.modules import (
@@ -122,23 +136,30 @@ def test_radical_before_products_finds_the_same_idempotent(group_name, field_nam
 
 
 @pytest.fixture(scope="module")
-def a4_in_s4_p3():
-    return EmbeddedPair(alternating_group(4), symmetric_group(4), 3)
-
-
-@pytest.fixture(scope="module")
-def block_reports(a4_in_s4, a4_in_s4_p3, c3_in_s3):
+def block_reports(a4_in_s4, c3_in_s3):
     """Per embedding: the context and, per block of the subgroup, its
     inertial group, its covering blocks, its poset and the set of keys of
-    the invariant nodes that ``verify_main_theorems`` found."""
+    the invariant nodes that ``verify_main_theorems`` found.  Besides A4 in
+    S4 and C3 in S3, the subgroup algebras of four blocks (V4 at p = 3) and
+    of five (Q8 at p = 3), and Q8 at p = 2, whose one block is covered by
+    the one block of SL23."""
+    a4, s4, v4, q8 = alternating_group(4), symmetric_group(4), klein_four_group(), quaternion_group()
     out = []
-    for pc in (a4_in_s4, a4_in_s4_p3, c3_in_s3):
+    for pc in (
+        a4_in_s4,
+        EmbeddedPair(a4, s4, 3),
+        c3_in_s3,
+        EmbeddedPair(v4, a4, 3),
+        EmbeddedPair(v4, s4, 3),
+        EmbeddedPair(q8, sl23(), 3),
+        EmbeddedPair(q8, sl23(), 2),
+    ):
         amb_poset = enumerate_poset(pc.amb_tctx)
         blocks = []
         for B in pc.sub_algebra.blocks():
             covering = [bt for bt in pc.amb_algebra.blocks() if covers(bt, B, pc.emb)]
             poset = enumerate_poset(TiltingContext(pc.sub_algebra, B))
-            report = verify_main_theorems(pc.ictx, B, poset, pc.amb_tctx, amb_poset)
+            report = verify_main_theorems(pc.ictx, poset, amb_poset)
             found = {node.key for node in report.invariant_nodes}
             blocks.append((inertial_group(B, pc.emb), covering, poset, found))
         out.append((pc, blocks))
@@ -148,19 +169,30 @@ def block_reports(a4_in_s4, a4_in_s4_p3, c3_in_s3):
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_class_level_invariance_and_induced_ids(block_reports, seed):
+    """The induced pair of a node has the classes of the whole induced
+    module, and its component in a covering block (``engine._restrict``)
+    the classes of the block component of that module.  On the invariant
+    nodes, that component is the pair that the earlier T3.3 route found,
+    with the same verdict."""
     for pc, blocks in block_reports:
-        amb_reg = pc.amb_algebra.registry
+        amb_reg, target = pc.amb_algebra.registry, pc.amb_tctx
         for inert, covering, poset, found in blocks:
             for node in poset.nodes:
                 M_random = in_random_basis(node.module(), seed)
                 assert (node.key in found) == is_invariant(pc.ictx, M_random, inert)[0]
                 ind = induce(pc.ictx, M_random)
-                want = sorted(set(amb_reg.ids_of(ind))) if ind.dim else []
-                assert _image_ids(pc.ictx, node.m_ids) == want
+                ids = _image_ids(pc.ictx, node.m_ids)
+                assert ids == (sorted(set(amb_reg.ids_of(ind))) if ind.dim else [])
+                image = STauTiltPair(target, ids, _support_pims(target, ids))
                 for bt in covering:
+                    block_ctx = TiltingContext(pc.amb_algebra, bt)
+                    part = _restrict(image, block_ctx)
                     comp, _ = block_component(ind, bt)
-                    want = sorted(set(amb_reg.ids_of(comp))) if comp.dim else []
-                    assert _image_ids(pc.ictx, node.m_ids, bt) == want
+                    assert list(part.m_ids) == (sorted(set(amb_reg.ids_of(comp))) if comp.dim else [])
+                    if node.key in found:
+                        old = filtered_block_pair(pc.ictx, node.m_ids, block_ctx)
+                        assert part.key == old.key
+                        assert certify_support_tau_tilting(part).valid == _certify(old).valid
 
 
 def test_twist_of_a_sum_of_classes_has_the_matrices_of_the_plain_twist(a4_in_s4):

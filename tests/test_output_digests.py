@@ -24,6 +24,11 @@ GROUPS = {
     # [[1,1],[0,1]] and [[0,-1],[1,0]]
     "SL23": (8, [[4, 8, 3, 7, 2, 6, 1, 5], [6, 3, 1, 7, 4, 2, 8, 5]]),
     "S3xC3": (6, [[2, 3, 1, 4, 5, 6], [2, 1, 3, 4, 5, 6], [1, 2, 3, 5, 6, 4]]),
+    # the Klein four-group <(12)(34), (13)(24)>, normal in A4 and S4
+    "V4": (4, [[2, 1, 4, 3], [3, 4, 1, 2]]),
+    # Q8 on the vectors of SL23 above, generated by [[0,-1],[1,0]] and
+    # [[1,1],[1,-1]]; normal in SL23
+    "Q8": (8, [[6, 3, 1, 7, 4, 2, 8, 5], [5, 7, 4, 6, 2, 8, 1, 3]]),
 }
 
 EXPECTED = {
@@ -90,6 +95,18 @@ EXPECTED = {
     },
     "verify A4 S4 --p 2 --theorems L3.1": {
         "stdout": "ab3cfd8853608ccaca6dd47ca30149c147e160e56a9ffebf598c48032babecfa",
+    },
+    # T3.3 alone, and embeddings whose subgroup algebra has four and five
+    # blocks over GF(3), pinned before T3.3 read the block components of
+    # the induced pair.
+    "verify A4 S4 --p 2 --theorems T3.3": {
+        "stdout": "f1c02a48d40019f646ca138a3e177bc0d6184494d6744b4c1dbb829f4085dd3d",
+    },
+    "verify V4 A4 --p 3": {
+        "stdout": "6db1e3ad6979714533331c6da0598c66f1ac2c9711b65d54bca806c2101ff31a",
+    },
+    "verify Q8 SL23 --p 3": {
+        "stdout": "105264cce7aef9affc1a5d7398cec07460fcb8c1c050daf11e077f075f0e08b2",
     },
 }
 
