@@ -3,9 +3,10 @@
 A group algebra element is a coefficient vector indexed by the canonical
 element order of the group; products and sums of such vectors are
 products through ``ff._matmul``.  Blocks are central primitive idempotents,
-found by splitting the separable part of the center (conjugacy-class sums)
-and ordered deterministically: principal block first, then by dimension,
-then by idempotent coefficient vector.
+found by the splitting search of ``rings.find_splitting_idempotent`` on the
+regular representation of the center (spanned by the conjugacy-class sums)
+and of its pieces, and ordered deterministically: principal block first,
+then by dimension, then by idempotent coefficient vector.
 """
 
 from __future__ import annotations
@@ -77,14 +78,19 @@ class GroupAlgebra:
         v[self.group.identity] = 1
         return v
 
-    def mul_vec(self, a, b) -> list[int]:
-        """The product of two coefficient vectors: its coefficient at g_k
-        is sum_i a_i b_(g_i^-1 g_k), one product of the nonzero a_i with
-        the rows b[table[inv(g_i)]], so nnz(a) |G| multiply-adds."""
+    def mul_vec(self, a, b) -> list:
+        """The product of two coefficient vectors, or the products of each
+        row of a with each row of b: the coefficient at g_k of ab is
+        sum_i a_i b_(g_i^-1 g_k).  One product of the columns i where some
+        row of a is nonzero with the rows b[table[inv(g_i)]], so nnz(a) |G|
+        multiply-adds per pair of rows."""
         a, b = np.asarray(a, dtype=_CODE_DTYPE), np.asarray(b, dtype=_CODE_DTYPE)
-        i = a.nonzero()[0]
-        rows = b[self.group.table[[self.group.inv(x) for x in i]]]
-        return _matmul(self.field, a[None, i], rows)[0].tolist()
+        a_rows = a.reshape(-1, self.dim)
+        i = np.flatnonzero(a_rows.any(axis=0))
+        rows = b[..., self.group.table[[self.group.inv(x) for x in i]]]
+        rows = np.moveaxis(rows, -2, 0).reshape(len(i), b.size)
+        prod = _matmul(self.field, a_rows[:, i], rows)
+        return prod.reshape(a.shape[:-1] + b.shape).tolist()
 
     @property
     def regular_actions(self) -> np.ndarray:
@@ -165,11 +171,7 @@ def block_decomposition(algebra: GroupAlgebra) -> list[Block]:
     """Central primitive idempotents, deterministically ordered: principal
     first, then ascending dimension, then idempotent coefficient codes."""
     field = algebra.field
-    center = algebra.center_basis()
-    separable = rings.frobenius_stable_part(field, center, algebra.mul_vec)
-    idems = rings.commutative_primitive_idempotents(
-        field, algebra.unit(), separable, algebra.mul_vec
-    )
+    idems = _primitive_idempotents(algebra, algebra.unit())
     blocks = [Block(algebra, e) for e in idems]
     # sanity: orthogonal decomposition of 1
     ones = np.ones((1, len(idems)), dtype=_CODE_DTYPE)
@@ -179,6 +181,32 @@ def block_decomposition(algebra: GroupAlgebra) -> list[Block]:
     for i, b in enumerate(blocks):
         b.index = i
     return blocks
+
+
+def _primitive_idempotents(algebra: GroupAlgebra, e) -> list[list[int]]:
+    """The primitive idempotents of the center Z of kG that lie in eZ, for a
+    central idempotent e.  The splitting search runs on the regular
+    representation of eZ, with the radical of those matrices, and a local
+    eZ gives e alone.  Else it gives multiplication by some f, and eZ is
+    fZ x (e - f)Z.  The basis of eZ is in reduced echelon form, so the
+    coordinates of an element are its entries at the pivots: E^T times the
+    basis is the f b_j, which the coordinates of e combine into f."""
+    field = algebra.field
+    e = np.array(e)
+    eZ = np.array(algebra.mul_vec(e, algebra.center_basis()))
+    R, pivots = FFMatrix._trusted(field, eZ).rref()
+    basis = R.data[: len(pivots)]
+    # row j of the i-th entry: the coordinates of b_i b_j
+    prods = np.array(algebra.mul_vec(basis, basis))[:, :, pivots]
+    regular = [FFMatrix._trusted(field, L.T) for L in prods]
+    E = rings.find_splitting_idempotent(
+        field, regular, lambda: rings.algebra_radical(field, regular)
+    )
+    if E is None:
+        return [e.tolist()]
+    f = _matmul(field, e[None, pivots], _matmul(field, E.data.T, basis))[0]
+    rest = field.add_table[e, field.neg_table[f]]
+    return _primitive_idempotents(algebra, f) + _primitive_idempotents(algebra, rest)
 
 
 def principal_block(algebra: GroupAlgebra) -> Block:

@@ -18,13 +18,14 @@ non-projective summand X to Tr X = D(tau X), so it reads the translates
 that tau-rigidity reads.  The Hasse diagram is cross-checkable against
 the covering relations recomputed from the order.
 
-There are no homs between blocks, so the poset of an algebra of two or
-more blocks is the product of its block posets.  A down mutation of a
-whole-algebra pair runs the exchange on its component in the block of the
-removed summand, and the certificate of a whole-algebra pair combines the
-certificates of its block components (``_certify`` on the whole algebra
-is the tests' oracle).  The registry holds the block of each class in its
-``block_of`` table and each block exchange in its ``exchange`` table.
+There are no homs between blocks, so the poset of an algebra is the
+product of its block posets, one factor for an algebra of one block.  A
+down mutation of a whole-algebra pair runs the exchange on its component
+in the block of the removed summand, and the certificate of a
+whole-algebra pair combines the certificates of its block components
+(``_certify`` on the whole algebra is the tests' oracle).  The registry
+holds the block of each class in its ``block_of`` table and each block
+exchange in its ``exchange`` table.
 """
 
 from __future__ import annotations
@@ -88,11 +89,11 @@ class TiltingContext:
 
     def factors(self) -> list[TiltingContext]:
         """The block contexts whose product this context is: one per block
-        for the whole algebra of two or more blocks, none otherwise."""
-        blocks = self.algebra.blocks()
-        if self.block is not None or len(blocks) < 2:
+        for the whole algebra, one block included, and none for a block.
+        So every certificate and exchange is computed over a block."""
+        if self.block is not None:
             return []
-        return [TiltingContext(self.algebra, b) for b in blocks]
+        return [TiltingContext(self.algebra, b) for b in self.algebra.blocks()]
 
     def simple_ids(self) -> list[int]:
         return self._classes()[0]
@@ -216,8 +217,8 @@ def _support_pims(ctx: TiltingContext, m_ids) -> tuple[int, ...]:
 
 def certify_support_tau_tilting(pair: STauTiltPair) -> Certificate:
     """The certificate of a pair, once per context and pair.  Over the
-    product of two or more blocks it combines the certificates of the
-    pair's block components: there are no homs between blocks."""
+    whole algebra it combines the certificates of the pair's block
+    components: there are no homs between blocks."""
     ctx = pair.ctx
 
     def compute():
@@ -343,10 +344,10 @@ class MutationResult:
 
 def _down_mutation(pair: STauTiltPair, removed: int) -> STauTiltPair | None:
     """The lower completion after removing a module summand, or None when
-    the exchange at this summand goes upward.  Over the product of two or
-    more blocks only the block of the removed summand changes: the removed
-    summand has no homs to the other blocks, and their PIMs cannot join
-    the support of a completed pair.  Each exchange is computed once per
+    the exchange at this summand goes upward.  Over the whole algebra only
+    the block of the removed summand changes: the removed summand has no
+    homs to the other blocks, and their PIMs cannot join the support of a
+    completed pair.  Each exchange is computed once per
     (block, component, removed summand)."""
     ctx = pair.ctx
     factors = ctx.factors()

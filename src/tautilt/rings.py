@@ -9,15 +9,18 @@ The two workhorses:
   (trace of the i-th exterior power).  On each stage the map is additive and
   p^k-semilinear, so the solve happens in Frobenius-twisted coordinates.
 
-* ``find_splitting_idempotent``: either certifies that an endomorphism
-  algebra is local or produces a proper idempotent, by coprime splits of
+* ``find_splitting_idempotent``: either certifies that a matrix algebra
+  is local or produces a proper idempotent, by coprime splits of
   minimal polynomials, passing to the semisimple quotient when needed, and
   lifting idempotents along the radical by p-th powering.  Its stages, in
   order: (1) coprime splits of the basis elements; (2) the radical, from
   the caller, and None when the quotient by it is one-dimensional, as no
   element of a local ring has a coprime split; (3) coprime splits of the
   products of the first 8 basis elements, pairwise; (4) the semisimple
-  quotient, its unit vectors first, then seeded random elements.
+  quotient, its unit vectors first, then seeded random elements.  It
+  splits the endomorphism rings of modules, and the center of a group
+  algebra into its blocks through the center's regular representation
+  (``algebra.block_decomposition``).
 
 Every subspace question over the field goes through the span helpers,
 each one elimination or one pass over the terms:
@@ -46,8 +49,9 @@ class DecompositionError(RuntimeError):
 
 
 class FieldNotSplittingError(RuntimeError):
-    """An endomorphism ring has a residue field bigger than the ground
-    field; the session field does not split the algebra."""
+    """A local algebra (an endomorphism ring, or a piece of the center) has
+    a residue field bigger than the ground field, so the ground field does
+    not split the algebra."""
 
 
 def matrix_power(A: FFMatrix, e: int) -> FFMatrix:
@@ -271,7 +275,8 @@ SPLITTING_TRIES = 400
 
 def find_splitting_idempotent(field: FieldSpec, end_basis: list[FFMatrix], radical):
     """Either a proper idempotent of the algebra spanned by ``end_basis``
-    (an endomorphism algebra, acting faithfully), or None if the algebra is
+    (a matrix algebra that contains the identity, such as an endomorphism
+    ring or a regular representation), or None if the algebra is
     local.  ``radical()`` returns a basis of its radical; it is called only
     when no basis element splits.  Raises FieldNotSplittingError when the
     residue division ring is a proper field extension of the ground field.
@@ -326,7 +331,7 @@ def find_splitting_idempotent(field: FieldSpec, end_basis: list[FFMatrix], radic
         # degree is dim Q only if the quotient is a field and mu irreducible
         if polys.degree(mu) == Q.dim:
             raise FieldNotSplittingError(
-                f"endomorphism residue field has degree {Q.dim} over the ground field"
+                f"a residue field has degree {Q.dim} over the ground field"
             )
         return None
 
@@ -341,75 +346,3 @@ def find_splitting_idempotent(field: FieldSpec, end_basis: list[FFMatrix], radic
     raise DecompositionError(
         f"no splitting idempotent found in {SPLITTING_TRIES} tries (dim quotient {Q.dim})"
     )
-
-
-# -- commutative (center) machinery -----------------------------------------
-
-
-def _row(field: FieldSpec, v) -> FFMatrix:
-    """The vector v of codes as a 1 x n matrix."""
-    return FFMatrix._trusted(field, np.array([v]))
-
-
-def frobenius_stable_part(field: FieldSpec, vectors, mul_vec):
-    """Basis of the maximal separable (etale) subalgebra of a commutative
-    algebra: the stable image of the p-th power map.  ``mul_vec`` multiplies
-    two coefficient vectors."""
-
-    def pth_power(v):
-        out = v
-        for _ in range(field.p - 1):
-            out = mul_vec(out, v)
-        return out
-
-    basis = reduce_span(field, [_row(field, v) for v in vectors])
-    while True:
-        powered = reduce_span(field, [_row(field, pth_power(v.entries())) for v in basis])
-        if len(powered) == len(basis):
-            # the p-power map is now bijective on the span, hence stable
-            return [v.entries() for v in powered]
-        basis = powered
-
-
-def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
-    """Primitive idempotents of a split etale commutative algebra.
-
-    ``basis`` spans the algebra, ``unit`` is its identity, ``mul_vec``
-    multiplies two vectors.  Splitting is by minimal polynomials of basis
-    elements; over a splitting field this terminates without search."""
-
-    def mult_matrix(v, sub_basis):
-        sol = in_span(
-            field, sub_basis, [_row(field, mul_vec(v.entries(), b.entries())) for b in sub_basis]
-        )
-        if sol is None:
-            raise AssertionError("multiplication left the subalgebra")
-        return sol
-
-    def eval_poly(coeffs, v, local_unit):
-        """sum_k c_k v^k with v^0 the local unit: one product of the
-        coefficients with the stacked powers."""
-        powers = [_row(field, local_unit)]
-        for _ in coeffs[1:]:
-            powers.append(_row(field, mul_vec(powers[-1].entries(), v)))
-        return combine(field, coeffs, powers).entries()
-
-    def split(local_unit, sub_basis):
-        if len(sub_basis) == 1:
-            return [local_unit]
-        for b in sub_basis:
-            ecoeffs = _idempotent_coeffs(field, mult_matrix(b, sub_basis).minimal_polynomial())
-            if ecoeffs is None:
-                continue
-            e = eval_poly(ecoeffs, b.entries(), local_unit)
-            if not any(e):
-                continue
-            rest = (_row(field, local_unit) - _row(field, e)).entries()
-            left = reduce_span(field, [_row(field, mul_vec(e, v.entries())) for v in sub_basis])
-            right = reduce_span(field, [_row(field, mul_vec(rest, v.entries())) for v in sub_basis])
-            return split(e, left) + split(rest, right)
-        raise FieldNotSplittingError(
-            "commutative algebra does not split over the ground field"
-        )
-
-    return split(list(unit), reduce_span(field, [_row(field, v) for v in basis]))

@@ -134,6 +134,19 @@ def sl23():
     return group_from_generators(gens, name="SL23")
 
 
+def gl23():
+    """GL(2,3) on the same points: the generators of ``sl23()`` and
+    diag(2, 1).  Its center {1, -1} is a 2-group, and the quotient by it
+    is S4."""
+    gens = [_on_gf3_vectors(M) for M in ([[1, 1], [0, 1]], [[0, 2], [1, 0]], [[2, 0], [0, 1]])]
+    return group_from_generators(gens, name="GL23")
+
+
+def c5_x_a4():
+    """C5 x A4 on 9 points, with its central C5 on the first five."""
+    return direct_product(cyclic_group(5), alternating_group(4))[0]
+
+
 def quaternion_group():
     """Q8, the normal Sylow 2-subgroup of ``sl23()``, on the same points."""
     gens = [_on_gf3_vectors([[0, 2], [1, 0]]), _on_gf3_vectors([[1, 1], [1, 2]])]

@@ -33,7 +33,11 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   ``test_modules.py``, ``test_acceptance.py``);
 * the approximation criterion on the whole (block) regular module, one
   cokernel split into classes, which the engine reads PIM by PIM
-  (``test_approximation_criterion.py``).
+  (``test_approximation_criterion.py``);
+* the block idempotents found by splitting the separable part of the
+  center, the stable image of the p-th power map, through the minimal
+  polynomials of its elements, which the splitting search on the regular
+  representation of the center replaced (``test_block_idempotents.py``).
 
 It also holds the independent constructions that the tests check the
 program against, and that the program itself does not run:
@@ -94,6 +98,7 @@ from tautilt.modules import (
     submodule,
     zero_module,
 )
+from tautilt.rings import FieldNotSplittingError, _idempotent_coeffs, combine, in_span, reduce_span
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -934,3 +939,75 @@ def whole_lambda_approximation(pair: STauTiltPair) -> tuple[bool, tuple[int, ...
     coker, _ = homalg.cokernel(f, target)
     coker_ids = tuple(sorted(reg.ids_of(coker))) if coker.dim else ()
     return set(coker_ids) <= set(pair.m_ids), coker_ids
+
+
+# -- the center split through its separable part ------------------------------
+
+
+def _row(field: FieldSpec, v) -> FFMatrix:
+    """The vector v of codes as a 1 x n matrix."""
+    return FFMatrix._trusted(field, np.array([v]))
+
+
+def frobenius_stable_part(field: FieldSpec, vectors, mul_vec):
+    """Basis of the maximal separable (etale) subalgebra of a commutative
+    algebra: the stable image of the p-th power map.  ``mul_vec`` multiplies
+    two coefficient vectors."""
+
+    def pth_power(v):
+        out = v
+        for _ in range(field.p - 1):
+            out = mul_vec(out, v)
+        return out
+
+    basis = reduce_span(field, [_row(field, v) for v in vectors])
+    while True:
+        powered = reduce_span(field, [_row(field, pth_power(v.entries())) for v in basis])
+        if len(powered) == len(basis):
+            # the p-power map is now bijective on the span, hence stable
+            return [v.entries() for v in powered]
+        basis = powered
+
+
+def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
+    """Primitive idempotents of a split etale commutative algebra.
+
+    ``basis`` spans the algebra, ``unit`` is its identity, ``mul_vec``
+    multiplies two vectors.  Splitting is by minimal polynomials of basis
+    elements; over a splitting field this terminates without search."""
+
+    def mult_matrix(v, sub_basis):
+        sol = in_span(
+            field, sub_basis, [_row(field, mul_vec(v.entries(), b.entries())) for b in sub_basis]
+        )
+        if sol is None:
+            raise AssertionError("multiplication left the subalgebra")
+        return sol
+
+    def eval_poly(coeffs, v, local_unit):
+        """sum_k c_k v^k with v^0 the local unit: one product of the
+        coefficients with the stacked powers."""
+        powers = [_row(field, local_unit)]
+        for _ in coeffs[1:]:
+            powers.append(_row(field, mul_vec(powers[-1].entries(), v)))
+        return combine(field, coeffs, powers).entries()
+
+    def split(local_unit, sub_basis):
+        if len(sub_basis) == 1:
+            return [local_unit]
+        for b in sub_basis:
+            ecoeffs = _idempotent_coeffs(field, mult_matrix(b, sub_basis).minimal_polynomial())
+            if ecoeffs is None:
+                continue
+            e = eval_poly(ecoeffs, b.entries(), local_unit)
+            if not any(e):
+                continue
+            rest = (_row(field, local_unit) - _row(field, e)).entries()
+            left = reduce_span(field, [_row(field, mul_vec(e, v.entries())) for v in sub_basis])
+            right = reduce_span(field, [_row(field, mul_vec(rest, v.entries())) for v in sub_basis])
+            return split(e, left) + split(rest, right)
+        raise FieldNotSplittingError(
+            "commutative algebra does not split over the ground field"
+        )
+
+    return split(list(unit), reduce_span(field, [_row(field, v) for v in basis]))

@@ -57,6 +57,11 @@ def test_mul_vec_matches_loop(name, pm, density, seed):
     got = alg.mul_vec(a, b)
     assert got == loop_mul_vec(alg, a, b)
     assert all(type(c) is int for c in got)
+    # rows: the product of each row of the first with each row of the second
+    rows_a, rows_b = [a, vector(), vector()], [b, vector()]
+    assert alg.mul_vec(rows_a, rows_b) == [
+        [loop_mul_vec(alg, x, y) for y in rows_b] for x in rows_a
+    ]
 
 
 def test_mul_vec_full_vectors_over_gf5():

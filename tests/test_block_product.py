@@ -1,5 +1,5 @@
-"""The poset of a group algebra of several blocks is the product of its
-block posets, and the engine computes it as one.
+"""The poset of a group algebra is the product of its block posets, one
+factor for an algebra of one block, and the engine computes it as one.
 
 * Every certificate of a whole-algebra pair, combined from its block
   components, equals the one ``engine._certify`` computes on the whole
@@ -34,7 +34,8 @@ from tautilt.groups import group_to_json
 
 # name -> (group, p, m), m None for the splitting field.  kS3xC2 over GF(3)
 # is two blocks like kS3, so one block's component can fail to be
-# tau-rigid while the other's approximation has a cokernel.
+# tau-rigid while the other's approximation has a cokernel.  kS4 over
+# GF(2) is one block, whose context certifies for the whole algebra.
 FIXTURES = {
     "S3xC3 p2": ("S3xC3", 2, None),
     "S4 p3 m1": ("S4", 3, 1),
@@ -42,6 +43,7 @@ FIXTURES = {
     "S3 GF(4)": ("S3", 2, 2),
     "C3 GF(4)": ("C3", 2, 2),
     "S3xC2 p3 m1": ("S3xC2", 3, 1),
+    "S4 p2 m1": ("S4", 2, 1),
 }
 
 
@@ -64,7 +66,10 @@ def enumerated(request):
     candidates are the block pairs that the exchanges certified, each with
     the rest of the node it was mutated from put back."""
     ctx = _context(request.param)
-    assert len(ctx.factors()) >= 2
+    blocks = ctx.algebra.blocks()
+    assert [b.key for b in ctx.factors()] == [b.index for b in blocks]
+    # kS4 over GF(2) is one block: its product has one factor
+    assert (len(blocks) == 1) == (request.param == "S4 p2 m1")
     candidates = []
     node = []
     real_down, real_certify = engine._down_mutation, engine.certify_support_tau_tilting
@@ -110,7 +115,7 @@ def test_product_certificates_equal_the_whole_algebra_oracle(enumerated):
     assert candidates
     # a block of two simples has candidates that fail; a block of one
     # simple has one candidate per exchange
-    if name in ("S4 p3 m1", "S3xC2 p3 m1"):
+    if name in ("S4 p3 m1", "S3xC2 p3 m1", "S4 p2 m1"):
         assert any(not engine.certify_support_tau_tilting(c).valid for c in candidates)
     # and every node with one more class: some of these are not tau-rigid in
     # one block while another block has a cokernel, or have homs from the

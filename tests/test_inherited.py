@@ -26,7 +26,7 @@ pieces cut before it are checked all the same."""
 import contextlib
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EmbeddedPair
@@ -166,7 +166,10 @@ def block_reports(a4_in_s4, c3_in_s3):
     return out
 
 
-@settings(max_examples=3, deadline=None)
+# no shrink phase: each example reruns every embedding, so shrinking a
+# failing seed takes minutes, while the seed is as telling unshrunk
+@settings(max_examples=3, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(seed=st.integers(0, 2**32 - 1))
 def test_class_level_invariance_and_induced_ids(block_reports, seed):
     """The induced pair of a node has the classes of the whole induced
