@@ -187,27 +187,23 @@ def submodule(M: RepModule, basis: FFMatrix) -> tuple[RepModule, FFMatrix]:
     return sub, basis
 
 
-def quotient_module(M: RepModule, sub_basis: FFMatrix) -> tuple[RepModule, FFMatrix]:
-    """The quotient by the invariant subspace spanned by ``sub_basis``;
-    returns (module, projection matrix)."""
-    d = sub_basis.cols
-    q_dim = M.dim - d
-    if q_dim == 0:
-        return zero_module(M.algebra), FFMatrix.zeros(M.field, 0, M.dim)
-    # extend to a full basis with standard vectors, deterministically
-    ident = FFMatrix.identity(M.field, M.dim)
-    complement = rings.extend_basis(
-        M.field,
-        [sub_basis.take_columns([j]) for j in range(d)],
-        [ident.take_columns([k]) for k in range(M.dim)],
-    )
-    T = sub_basis.hstack(ident.take_columns(complement))
-    T_inv = T.inverse()
-    proj = T_inv.take_rows(range(d, M.dim))
-    lift = T.take_columns(range(d, M.dim))
-    mats = [proj @ g @ lift for g in M.gen_mats]
-    quot = RepModule(M.algebra, mats)
-    return quot, proj
+def quotient_module(M: RepModule, span: FFMatrix) -> tuple[RepModule, FFMatrix]:
+    """The quotient by the invariant subspace U spanned by the columns of
+    ``span``; returns (module, projection).  Read from the last coordinate
+    back, the reduced echelon rows u_i of span^T have pivots c_i, and e_k
+    lies in U + <e_j : j < k> iff k is a pivot: the e_k at the free k span
+    the complement that greedy basis extension picks.  As v = sum v[c_i] u_i
+    + sum b_k e_k, the projection along U is 1 on free k, -u_i[free] at c_i."""
+    field, n = M.field, M.dim
+    R, rev_pivots = FFMatrix._trusted(field, span.data.T[:, ::-1]).rref()
+    pivots = [n - 1 - c for c in rev_pivots]
+    free = sorted(set(range(n)).difference(pivots))
+    if not free:
+        return zero_module(M.algebra), FFMatrix.zeros(field, 0, n)
+    proj = np.eye(n, dtype=_CODE_DTYPE)[free]
+    proj[:, pivots] = field.neg_table[R.data[: len(pivots), ::-1][:, free]].T
+    proj = FFMatrix._trusted(field, proj)
+    return RepModule(M.algebra, [proj @ g.take_columns(free) for g in M.gen_mats]), proj
 
 
 def lies_in_block(M: RepModule, block: Block) -> bool:
@@ -461,7 +457,10 @@ class ModuleRegistry:
     def _split(self, M: RepModule) -> Decomposition:
         """Split by idempotents of endomorphism rings until every piece is
         local, then register the pieces.  End(M) is solved; each piece
-        inherits its End from the module it was cut from."""
+        inherits its End from the module it was cut from.  As e = e[:, pivots] R
+        for its echelon form R, R's nonzero rows project onto the image along
+        the kernel; the free rows of 1 - e project onto the kernel along the
+        image, since the basis from ``nullspace`` is the identity there."""
         parts = []
         stack = [(M, FFMatrix.identity(M.field, M.dim))]
         while stack:
@@ -478,16 +477,16 @@ class ModuleRegistry:
             if e is None:
                 parts.append((X, inc))
                 continue
-            img = e.column_space_basis()
-            ker = e.nullspace()
-            # the rows of the inverse of [img | ker] project onto each piece
-            proj = img.hstack(ker).inverse()
+            R, pivots = e.rref()
+            free = sorted(set(range(X.dim)).difference(pivots))
+            img_proj = (e.take_columns(pivots), R.take_rows(range(len(pivots))))
+            ker_proj = (e.nullspace(), (FFMatrix.identity(X.field, X.dim) - e).take_rows(free))
             pieces = []
-            for basis, rows in ((img, range(img.cols)), (ker, range(img.cols, X.dim))):
+            for basis, proj in (img_proj, ker_proj):
                 piece, piece_inc = submodule(X, basis)
                 if piece.dim == 0:
                     raise AssertionError("idempotent splitting produced a trivial piece")
-                self._inherit_end(X, piece, basis, proj.take_rows(rows))
+                self._inherit_end(X, piece, basis, proj)
                 pieces.append((piece, inc @ piece_inc))
             stack.extend(pieces)
         keyed = []

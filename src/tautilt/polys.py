@@ -195,7 +195,7 @@ def _frobenius_kernel(F: FieldSpec, f: Poly) -> FFMatrix:
     for _ in range(n):
         cols.append(list(power) + [0] * (n - len(power)))
         power = mod(F, mul(F, power, xq), f)
-    Q = FFMatrix(F, np.array(cols, dtype=np.int16).T)
+    Q = FFMatrix._trusted(F, np.array(cols, dtype=np.int16).T)
     return (Q - FFMatrix.identity(F, n)).nullspace()
 
 

@@ -180,8 +180,10 @@ def algebra_radical(field: FieldSpec, basis: list[FFMatrix]) -> list[FFMatrix]:
         J = reduce_span(field, [FFMatrix._trusted(field, x) for x in newJ])
         k += 1
         pk *= p
-    for x in J:
-        if not matrix_power(x, n).is_zero():
+    for x in J:  # the nilpotency index is at most n: x^(2^k) = 0 for 2^k >= n
+        for _ in range((n - 1).bit_length()):
+            x = x @ x
+        if not x.is_zero():
             raise AssertionError("radical computation produced a non-nilpotent element")
     return J
 

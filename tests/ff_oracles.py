@@ -37,7 +37,13 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
 * the block idempotents found by splitting the separable part of the
   center, the stable image of the p-th power map, through the minimal
   polynomials of its elements, which the splitting search on the regular
-  representation of the center replaced (``test_block_idempotents.py``).
+  representation of the center replaced (``test_block_idempotents.py``);
+* the quotient that completed a basis of the subspace with the standard
+  vectors ``rings.extend_basis`` picks and inverted [basis | complement],
+  and the split of a module by an idempotent through the rows of
+  [image | kernel]^-1, which ``quotient_module`` and
+  ``ModuleRegistry._split`` read off one reduced echelon form
+  (``test_projections.py``).
 
 It also holds the independent constructions that the tests check the
 program against, and that the program itself does not run:
@@ -1011,3 +1017,39 @@ def commutative_primitive_idempotents(field: FieldSpec, unit, basis, mul_vec):
         )
 
     return split(list(unit), reduce_span(field, [_row(field, v) for v in basis]))
+
+
+# -- quotients and splits by basis completion and inversion ---------------------
+
+
+def completed_basis_quotient(M: RepModule, sub_basis: FFMatrix) -> tuple[RepModule, FFMatrix]:
+    """The quotient by the invariant subspace spanned by the independent
+    columns ``sub_basis``: the standard vectors that extend them to a basis,
+    taken greedily in order, and the last rows of the inverse of
+    [sub_basis | those vectors] as the projection."""
+    d = sub_basis.cols
+    q_dim = M.dim - d
+    if q_dim == 0:
+        return zero_module(M.algebra), FFMatrix.zeros(M.field, 0, M.dim)
+    ident = FFMatrix.identity(M.field, M.dim)
+    complement = rings.extend_basis(
+        M.field,
+        [sub_basis.take_columns([j]) for j in range(d)],
+        [ident.take_columns([k]) for k in range(M.dim)],
+    )
+    T = sub_basis.hstack(ident.take_columns(complement))
+    T_inv = T.inverse()
+    proj = T_inv.take_rows(range(d, M.dim))
+    lift = T.take_columns(range(d, M.dim))
+    mats = [proj @ g @ lift for g in M.gen_mats]
+    return RepModule(M.algebra, mats), proj
+
+
+def inverse_split_projections(e: FFMatrix) -> list[tuple[FFMatrix, FFMatrix]]:
+    """(basis, projection) of the image and of the kernel of an idempotent:
+    the pivot columns of e and its nullspace, each with its rows of the
+    inverse of [image | kernel]."""
+    img = e.column_space_basis()
+    ker = e.nullspace()
+    proj = img.hstack(ker).inverse()
+    return [(img, proj.take_rows(range(img.cols))), (ker, proj.take_rows(range(img.cols, e.rows)))]
