@@ -57,7 +57,7 @@ class GroupAlgebra:
         self.dim = group.order
         self._blocks = None
         self._regular_actions = None
-        self._radical = None
+        self._radical = None  # set by the bootstrap of its registry
         self._registry = None  # set by the ModuleRegistry of this algebra
 
     @property
@@ -117,14 +117,12 @@ class GroupAlgebra:
         return out
 
     def radical_vectors(self) -> list[list[int]]:
-        """Basis of the Jacobson radical of kG as coefficient vectors
-        (computed once and cached)."""
+        """Basis of the Jacobson radical of kG as coefficient vectors, in
+        reduced echelon form.  The bootstrap of the registry reads it off the
+        split of kG into PIMs (``ModuleRegistry._radical_of_parts``), so over
+        a field that does not split kG this raises FieldNotSplittingError."""
         if self._radical is None:
-            mats = [FFMatrix._trusted(self.field, a) for a in self.regular_actions]
-            rad = rings.algebra_radical(self.field, mats)
-            # a multiplication matrix is recovered as a vector by its action on 1
-            ident = self.group.identity
-            self._radical = [[int(c) for c in m.data[:, ident]] for m in rad]
+            self.registry.simple_ids()
         return self._radical
 
     def blocks(self) -> list["Block"]:
@@ -200,7 +198,7 @@ def _primitive_idempotents(algebra: GroupAlgebra, e) -> list[list[int]]:
     prods = np.array(algebra.mul_vec(basis, basis))[:, :, pivots]
     regular = [FFMatrix._trusted(field, L.T) for L in prods]
     E = rings.find_splitting_idempotent(
-        field, regular, lambda: rings.algebra_radical(field, regular)
+        field, regular, lambda J: rings.algebra_radical(field, regular) if J is None else J
     )
     if E is None:
         return [e.tolist()]

@@ -259,6 +259,17 @@ def end_basis(M: RepModule) -> list[FFMatrix]:
     return solve_intertwiner_system(M.field, constraints, (M.dim, M.dim))
 
 
+def regular_end_basis(algebra: GroupAlgebra) -> list[FFMatrix]:
+    """End of the regular module, in the form ``end_basis`` gives it: the
+    right multiplications e_h |-> e_(hg), one permutation matrix per g read
+    off the group table, put by one elimination into reversed echelon form."""
+    n, table = algebra.dim, algebra.group.table
+    vecs = np.zeros((n, n * n), dtype=_CODE_DTYPE)
+    # row g holds entry (hg, h) of its matrix, row-major, for every h
+    vecs[np.arange(n)[:, None], table.T * n + np.arange(n)] = 1
+    return reversed_echelon_basis(algebra.field, vecs, (n, n))
+
+
 # -- isomorphism --------------------------------------------------------------
 
 
@@ -471,7 +482,7 @@ class ModuleRegistry:
                 "idempotent",
                 _content_key(X),
                 lambda: rings.find_splitting_idempotent(
-                    X.field, self._end(X), lambda: self._rad_end(X)
+                    X.field, self._end(X), lambda J: self._rad_end(X, J)
                 ),
             )
             if e is None:
@@ -533,13 +544,17 @@ class ModuleRegistry:
 
         self.memo("hom", (key, key), compute)
 
-    def _rad_end(self, M: RepModule) -> list[FFMatrix]:
-        """Basis of rad End(M), once per content."""
-        return self.memo(
-            "rad_end",
-            _content_key(M),
-            lambda: rings.algebra_radical(self.algebra.field, self._end(M)),
-        )
+    def _rad_end(self, M: RepModule, local=None) -> list[FFMatrix]:
+        """Basis of rad End(M), once per content: ``local`` when the
+        splitting search read it off the eigenvalues of a local End(M), else
+        from ``rings.algebra_radical``."""
+
+        def compute():
+            if local is not None:
+                return local
+            return rings.algebra_radical(self.algebra.field, self._end(M))
+
+        return self.memo("rad_end", _content_key(M), compute)
 
     def rad_end_basis(self, idx: int) -> list[FFMatrix]:
         return self._rad_end(self.entries[idx])
@@ -559,6 +574,8 @@ class ModuleRegistry:
         from . import homalg  # cycle: top() needs the algebra radical helpers
 
         reg_mod = regular_module(self.algebra)
+        key = _content_key(reg_mod)
+        self.memo("hom", (key, key), lambda: regular_end_basis(self.algebra))
         pim_dec = self.decompose(reg_mod)
         # summands of the regular module keep their inclusion: the free-hom
         # shortcut applies to them.  A class registered before the bootstrap
@@ -569,6 +586,8 @@ class ModuleRegistry:
             entry = self.entries[pid]
             if entry.lambda_inclusion is None:
                 entry.lambda_inclusion = inc @ _indec_iso_witness(entry, part)
+        if self.algebra._radical is None:
+            self.algebra._radical = self._radical_of_parts(pim_dec)
         top_mod, _ = homalg.top(reg_mod)
         simple_ids = sorted(set(self.decompose(top_mod).part_ids), key=self._simple_sort_key)
         # match each PIM to its top: the one simple it maps onto
@@ -583,6 +602,31 @@ class ModuleRegistry:
             labels[sid] = str(pos + 1)
             labels[pim_of_simple[sid]] = f"P{pos + 1}"
         return simple_ids, pim_of_simple
+
+    def _radical_of_parts(self, pim_dec: Decomposition) -> list[list[int]]:
+        """rad kG as coefficient vectors in reduced echelon form, from the
+        split of kG into PIM parts P_j with inclusions iota_j.  kG is the
+        direct sum of the P_j, J e_j = sum_i e_i J e_j, and right
+        multiplication by an element of e_i J e_j is a radical map
+        P_i -> P_j (e_i kG e_j = Hom(P_i, P_j); Benson, Representations and
+        Cohomology I, 1.6).  So J is the sum of the iota_j h for h in
+        rad End(P_j) and in Hom(P_i, P_j), P_i one part of each other
+        class, whose maps the free-module shortcut gives."""
+        first: dict[int, RepModule] = {}
+        for (part, _), pid in zip(pim_dec.parts, pim_dec.part_ids):
+            first.setdefault(pid, part)
+        rows = []
+        for (part, inc), pid in zip(pim_dec.parts, pim_dec.part_ids):
+            maps = self._rad_end(part) + [
+                h for qid, P in first.items() if qid != pid for h in hom_basis(P, part)
+            ]
+            if maps:
+                # rad P_j in the coordinates of P_j, then in those of kG
+                rows.append((inc @ FFMatrix.hstack(*maps).column_space_basis()).data.T)
+        if not rows:
+            return []
+        J = FFMatrix._trusted(self.algebra.field, np.vstack(rows)).row_space_basis()
+        return J.data.tolist()
 
     def _simple_sort_key(self, sid: int):
         mod = self.entries[sid]

@@ -118,19 +118,19 @@ def block_regular_module(block: Block) -> RepModule:
     return mod.relabel(f"B{block.index}")
 
 
-def _on_gf3_vectors(M) -> list[int]:
-    """The permutation of a 2 x 2 matrix over GF(3) on the 8 nonzero
-    vectors of GF(3)^2, in lexicographic order."""
-    vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+def _on_vectors(M, p: int) -> list[int]:
+    """The permutation of a 2 x 2 matrix over GF(p) on the p^2 - 1 nonzero
+    vectors of GF(p)^2, in lexicographic order."""
+    vecs = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
     return [
-        vecs.index(((M[0][0] * x + M[0][1] * y) % 3, (M[1][0] * x + M[1][1] * y) % 3))
+        vecs.index(((M[0][0] * x + M[0][1] * y) % p, (M[1][0] * x + M[1][1] * y) % p))
         for x, y in vecs
     ]
 
 
 def sl23():
     """SL(2,3) acting on the 8 nonzero vectors of GF(3)^2."""
-    gens = [_on_gf3_vectors([[1, 1], [0, 1]]), _on_gf3_vectors([[0, 2], [1, 0]])]
+    gens = [_on_vectors([[1, 1], [0, 1]], 3), _on_vectors([[0, 2], [1, 0]], 3)]
     return group_from_generators(gens, name="SL23")
 
 
@@ -138,7 +138,7 @@ def gl23():
     """GL(2,3) on the same points: the generators of ``sl23()`` and
     diag(2, 1).  Its center {1, -1} is a 2-group, and the quotient by it
     is S4."""
-    gens = [_on_gf3_vectors(M) for M in ([[1, 1], [0, 1]], [[0, 2], [1, 0]], [[2, 0], [0, 1]])]
+    gens = [_on_vectors(M, 3) for M in ([[1, 1], [0, 1]], [[0, 2], [1, 0]], [[2, 0], [0, 1]])]
     return group_from_generators(gens, name="GL23")
 
 
@@ -147,9 +147,21 @@ def c5_x_a4():
     return direct_product(cyclic_group(5), alternating_group(4))[0]
 
 
+def sl25():
+    """SL(2,5), of order 120, on the 24 nonzero vectors of GF(5)^2.  Its
+    center {1, -1} is a 2-group, and the quotient by it is A5."""
+    gens = [_on_vectors([[1, 1], [0, 1]], 5), _on_vectors([[0, 4], [1, 0]], 5)]
+    return group_from_generators(gens, name="SL25")
+
+
+def c2_x_a5():
+    """C2 x A5 on 7 points, with its central C2 on the first two."""
+    return direct_product(cyclic_group(2), alternating_group(5))[0]
+
+
 def quaternion_group():
     """Q8, the normal Sylow 2-subgroup of ``sl23()``, on the same points."""
-    gens = [_on_gf3_vectors([[0, 2], [1, 0]]), _on_gf3_vectors([[1, 1], [1, 2]])]
+    gens = [_on_vectors([[0, 2], [1, 0]], 3), _on_vectors([[1, 1], [1, 2]], 3)]
     return group_from_generators(gens, name="Q8")
 
 

@@ -43,7 +43,11 @@ shorter code.  They are slow and obviously exact, and serve as oracles:
   and the split of a module by an idempotent through the rows of
   [image | kernel]^-1, which ``quotient_module`` and
   ``ModuleRegistry._split`` read off one reduced echelon form
-  (``test_projections.py``).
+  (``test_projections.py``);
+* the radical of kG by Ronyai's chain on its |G| regular matrices, which
+  the bootstrap replaced by the radical maps between the PIM parts of the
+  split of kG; it also works over fields that do not split kG
+  (``test_radicals.py``, ``test_algebra.py``).
 
 It also holds the independent constructions that the tests check the
 program against, and that the program itself does not run:
@@ -449,6 +453,18 @@ def entrywise_radical(field: FieldSpec, basis) -> list[FFMatrix]:
         if not rings.matrix_power(x, n).is_zero():
             raise AssertionError("radical computation produced a non-nilpotent element")
     return J
+
+
+def ronyai_radical_vectors(algebra) -> list[list[int]]:
+    """rad kG by ``rings.algebra_radical`` on the regular matrices L_g, as
+    coefficient vectors in reduced echelon form: L_r is recovered as the
+    vector r by its action on the identity."""
+    mats = [FFMatrix._trusted(algebra.field, a) for a in algebra.regular_actions]
+    rad = rings.algebra_radical(algebra.field, mats)
+    if not rad:
+        return []
+    vecs = np.array([m.data[:, algebra.group.identity] for m in rad])
+    return FFMatrix._trusted(algebra.field, vecs).row_space_basis().data.tolist()
 
 
 def loop_mul_vec(algebra, a, b) -> list[int]:

@@ -13,7 +13,7 @@ from corpus import (
     inertial_embeddings,
     symmetric_group,
 )
-from ff_oracles import loop_mul_vec
+from ff_oracles import loop_mul_vec, ronyai_radical_vectors
 from tautilt import rings
 from tautilt.algebra import (
     AlgebraError,
@@ -103,9 +103,17 @@ RADICAL_DIMS = [
 
 @pytest.mark.parametrize("builder,p,m,expected", RADICAL_DIMS)
 def test_group_algebra_radical_dimensions(builder, p, m, expected):
+    """The radical read off the PIMs, and Ronyai's chain on the regular
+    matrices as the oracle.  GF(2) does not split kA4, so there the PIMs,
+    and with them ``radical_vectors``, are refused, as every command
+    refuses that field; the oracle still gives the dimension."""
     alg = algebra_of(builder(), p, m)
-    rad = alg.radical_vectors()
-    assert len(rad) == expected
+    assert len(ronyai_radical_vectors(alg)) == expected
+    if (alg.group.order, p, m) == (12, 2, 1):
+        with pytest.raises(rings.FieldNotSplittingError):
+            alg.radical_vectors()
+        return
+    assert alg.radical_vectors() == ronyai_radical_vectors(alg)
 
 
 def test_radical_is_nilpotent_ideal():

@@ -4,28 +4,34 @@ which lie in the radical, so the two algebras have the same support
 tau-tilting posets, block by block (Eisele, Janssens and Raedschelders):
 
 * GL(2,3) has the center {1, -1} and the quotient S4, at p = 2;
-* C5 x A4 has the center C5 and the quotient A4, at p = 5.
+* C5 x A4 has the center C5 and the quotient A4, at p = 5;
+* SL(2,5) has the center {1, -1} and the quotient A5, at p = 2;
+* C2 x A5 has the center C2 and the quotient A5, at p = 2.
 
 Each pair is computed over one field, the splitting field of both groups:
-GF(4) and GF(25).  The counts are also pinned, and a wrong quotient gives
-other counts."""
+GF(4), GF(25) and GF(16).  The counts are also pinned, and a wrong
+quotient gives other counts: A4 for GL(2,3), and S5, of the same order
+and over the same field, for SL(2,5)."""
 
 import functools
 
 import pytest
 
-from corpus import alternating_group, c5_x_a4, fixture_groups, gl23
+from corpus import alternating_group, c2_x_a5, c5_x_a4, fixture_groups, gl23, sl25
 from tautilt.algebra import GroupAlgebra, splitting_field
 from tautilt.engine import TiltingContext, enumerate_poset
 
-GROUPS = {"GL23": gl23, "C5xA4": c5_x_a4, "A4": lambda: alternating_group(4),
-          "S4": lambda: fixture_groups()["S4"]}
+GROUPS = {"GL23": gl23, "C5xA4": c5_x_a4, "SL25": sl25, "C2xA5": c2_x_a5,
+          "A4": lambda: alternating_group(4), "A5": lambda: alternating_group(5),
+          "S4": lambda: fixture_groups()["S4"], "S5": lambda: fixture_groups()["S5"]}
 
 # (group, its quotient by a central p-subgroup, p, the field's order, the
 # (nodes, edges) of each block, in block order)
 CASES = [
     ("GL23", "S4", 2, 4, [(8, 8)]),
     ("C5xA4", "A4", 5, 25, [(2, 1)] * 4),
+    ("SL25", "A5", 2, 16, [(32, 48), (2, 1)]),
+    ("C2xA5", "A5", 2, 16, [(32, 48), (2, 1)]),
 ]
 
 
@@ -58,3 +64,8 @@ def test_counts_are_those_of_the_central_quotient(name, quotient, p, q, per_bloc
 def test_a_wrong_quotient_fails():
     with pytest.raises(AssertionError):
         assert_same_counts("GL23", "A4", 2)
+
+
+def test_a_wrong_quotient_of_the_same_order_fails():
+    with pytest.raises(AssertionError):
+        assert_same_counts("SL25", "S5", 2)

@@ -9,6 +9,10 @@ keyed by the two modules' contents holds them all.
   two fills the table first.
 * The Hom space out of a direct sum is the one its parts' bases, lifted
   (``ff_oracles.lifted_sum_hom``), span.
+* End of the regular module, the right multiplications read off the group
+  table (``modules.regular_end_basis``), is the solver's basis on every
+  fixture group over GF(2), GF(3), GF(4) and GF(5); the bootstrap stores
+  it before it splits kG.
 * A poset enumeration runs the downward mutation at each (node, module
   summand) once, with no table in between.
 """
@@ -24,7 +28,16 @@ from ff_oracles import lifted_sum_hom
 from tautilt import engine, rings
 from tautilt.cli import main
 from tautilt.ff import field_create, solve_intertwiner_system
-from tautilt.modules import RepModule, direct_sum, hom_basis
+from tautilt.algebra import GroupAlgebra
+from tautilt.modules import (
+    RepModule,
+    _content_key,
+    direct_sum,
+    end_basis,
+    hom_basis,
+    regular_end_basis,
+    regular_module,
+)
 from tautilt.rings import FieldNotSplittingError
 
 GROUPS = ("A4", "S4", "C3", "S3")
@@ -80,6 +93,18 @@ def test_direct_sum_hom_spans_the_lifted_bases(registries):
                 basis = hom_basis(S, N)
                 assert basis == solved(S, N)
                 assert rings.reduce_span(F, basis) == rings.reduce_span(F, lifted_sum_hom(S, N))
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=str)
+def test_end_of_the_regular_module_is_read_off_the_group_table(field):
+    for group in fixture_groups().values():
+        alg = GroupAlgebra(group, field_create(*field))
+        reg = regular_module(alg)
+        assert regular_end_basis(alg) == end_basis(reg)
+        if group.name == "S4":  # what the bootstrap finds in the table
+            alg.registry.pim_ids()
+            key = _content_key(reg)
+            assert alg.registry._tables["hom"][key, key] == end_basis(reg)
 
 
 # Generators as image lists on 1-based points, as in the pinned digests.
